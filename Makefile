@@ -7,7 +7,7 @@ GO ?= go
         test-race-kernels test-race-dynamic test-race-nas smoke-sweep smoke-cluster \
         bench-cluster check-allocs \
         bench bench-serve bench-telemetry bench-inference bench-kernels \
-        bench-ios bench-dynamic bench-nas test-short \
+        bench-ios bench-dynamic bench-nas bench-layers test-short \
         bench-fast experiments experiments-train examples renders clean
 
 all: build vet test
@@ -164,6 +164,14 @@ bench-dynamic:
 # sim-vs-measured winner comparison at the serving batch.
 bench-nas:
 	$(GO) run ./cmd/drainnet-bench -exp nas
+
+# Layer benchmarks under drainbench's survey and detect workloads:
+# watershed synthesis at 1024² per terrain regime, the priority-flood
+# fill and the D8 flow accumulation at 1024², and the decode of a 68 KB
+# /v1/detect body (typed pixel decoder vs reflective []float32).
+bench-layers:
+	$(GO) test -run '^$$' -bench 'BenchmarkGenerate|BenchmarkFillDepressions|BenchmarkFlowAccumulation' -benchmem ./internal/terrain/ ./internal/hydro/
+	$(GO) test -run '^$$' -bench 'BenchmarkDecodeDetect' -benchmem ./internal/serve/
 
 # Serving throughput: single-mutex path vs batched multi-replica pool.
 bench-serve:

@@ -164,7 +164,9 @@ type GridPoint = hydro.Point
 // FlowDirections computes D8 steepest-descent directions.
 func FlowDirections(dem *Grid) *hydro.FlowDir { return hydro.D8FlowDirections(dem) }
 
-// FlowAccumulation computes D8 flow accumulation.
+// FlowAccumulation computes D8 flow accumulation (upstream cell counts,
+// inclusive) by a topological walk of dirs in O(n); dem supplies only the
+// output's shape and cell size.
 func FlowAccumulation(dem *Grid, dirs *hydro.FlowDir) *Grid {
 	return hydro.FlowAccumulation(dem, dirs)
 }

@@ -1,10 +1,5 @@
 package hydro
 
-import (
-	"container/heap"
-	"sort"
-)
-
 // FlowDir holds D8 flow directions: for each cell, the index 0..7 of the
 // steepest-descent neighbor, or -1 for pits and flats with no lower
 // neighbor (interior sinks), or -2 for cells that drain off the grid edge.
@@ -66,48 +61,104 @@ func D8FlowDirections(dem *Grid) *FlowDir {
 }
 
 // FlowAccumulation computes D8 flow accumulation (number of upstream
-// cells, inclusive of the cell itself) by processing cells in descending
-// elevation order.
+// cells, inclusive of the cell itself) by a topological walk of the flow
+// graph given by dirs: a cell passes its total downstream once every
+// donor has passed it theirs. dem supplies only the output's shape and
+// cell size; the walk never reads its elevations. Accumulations are
+// integer-valued sums, so every topological order gives exactly the same
+// grid. Cells on a direction cycle (impossible for D8FlowDirections,
+// which only routes strictly downhill) never pass their totals on.
 func FlowAccumulation(dem *Grid, dirs *FlowDir) *Grid {
 	acc := NewGrid(dem.Rows, dem.Cols, dem.CellSize)
-	for i := range acc.Data {
+	var off [8]int
+	for i := range off {
+		off[i] = d8dr[i]*dirs.Cols + d8dc[i]
+	}
+	// donors counts each cell's unprocessed upstream neighbors (at most 8).
+	donors := make([]uint8, len(acc.Data))
+	for i, d := range dirs.Dir {
 		acc.Data[i] = 1
+		if d >= 0 {
+			donors[i+off[d]]++
+		}
 	}
-	order := make([]int, len(dem.Data))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return dem.Data[order[a]] > dem.Data[order[b]] })
-	for _, idx := range order {
-		r, c := idx/dem.Cols, idx%dem.Cols
-		d := dirs.At(r, c)
-		if d < 0 {
+	// Start a downstream chain at every source cell and follow it while
+	// each next cell has received all of its donors; a finished chain
+	// cell is marked done so the scan does not start it again.
+	const done = 0xff
+	for i, n := range donors {
+		if n != 0 {
 			continue
 		}
-		nr, nc := r+d8dr[d], c+d8dc[d]
-		acc.Add(nr, nc, acc.At(r, c))
+		for j := i; ; {
+			donors[j] = done
+			d := dirs.Dir[j]
+			if d < 0 {
+				break
+			}
+			k := j + off[d]
+			acc.Data[k] += acc.Data[j]
+			if donors[k]--; donors[k] != 0 {
+				break
+			}
+			j = k
+		}
 	}
 	return acc
 }
 
-// floodCell is a priority-queue item for priority-flood filling.
+// floodCell is a priority-queue item for priority-flood filling: the
+// cell's elevation, its index in the grid, and its index in the padded
+// closed-set frame.
 type floodCell struct {
 	z    float64
-	r, c int
+	i, p int
 }
 
+// floodHeap is a binary min-heap on z. push and pop sift exactly as
+// container/heap does (same comparisons, same child choice), so cells of
+// equal z leave in the same order and every filled elevation stays
+// bit-identical to the container/heap formulation, without boxing each
+// cell into an interface.
 type floodHeap []floodCell
 
-func (h floodHeap) Len() int            { return len(h) }
-func (h floodHeap) Less(i, j int) bool  { return h[i].z < h[j].z }
-func (h floodHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *floodHeap) Push(x interface{}) { *h = append(*h, x.(floodCell)) }
-func (h *floodHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+func (h *floodHeap) push(x floodCell) {
+	*h = append(*h, x)
+	s := *h
+	j := len(s) - 1
+	for j > 0 {
+		i := (j - 1) / 2
+		if !(x.z < s[i].z) {
+			break
+		}
+		s[j] = s[i]
+		j = i
+	}
+	s[j] = x
+}
+
+func (h *floodHeap) pop() floodCell {
+	s := *h
+	n := len(s) - 1
+	top, x := s[0], s[n]
+	i := 0
+	for {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && s[j2].z < s[j].z {
+			j = j2
+		}
+		if !(s[j].z < x.z) {
+			break
+		}
+		s[i] = s[j]
+		i = j
+	}
+	s[i] = x
+	*h = s[:n]
+	return top
 }
 
 // FillDepressions returns a copy of dem with all interior depressions
@@ -116,39 +167,57 @@ func (h *floodHeap) Pop() interface{} {
 func FillDepressions(dem *Grid) *Grid {
 	const eps = 1e-6
 	out := dem.Clone()
-	visited := make([]bool, len(dem.Data))
-	h := &floodHeap{}
-	heap.Init(h)
+	rows, cols := dem.Rows, dem.Cols
+	// closed marks queued cells on a frame padded by one always-closed
+	// cell on every side, so neighbor visits need no bounds checks.
+	pc := cols + 2
+	closed := make([]bool, (rows+2)*pc)
+	for c := 0; c < pc; c++ {
+		closed[c] = true
+		closed[(rows+1)*pc+c] = true
+	}
+	for r := 1; r <= rows; r++ {
+		closed[r*pc] = true
+		closed[r*pc+cols+1] = true
+	}
+	var off, poff [8]int
+	for k := range off {
+		off[k] = d8dr[k]*cols + d8dc[k]
+		poff[k] = d8dr[k]*pc + d8dc[k]
+	}
+	h := make(floodHeap, 0, 4*(rows+cols))
 	push := func(r, c int) {
-		visited[r*dem.Cols+c] = true
-		heap.Push(h, floodCell{z: out.At(r, c), r: r, c: c})
+		i, p := r*cols+c, (r+1)*pc+c+1
+		closed[p] = true
+		h.push(floodCell{z: out.Data[i], i: i, p: p})
 	}
-	for c := 0; c < dem.Cols; c++ {
+	for c := 0; c < cols; c++ {
 		push(0, c)
-		if dem.Rows > 1 {
-			push(dem.Rows-1, c)
+		if rows > 1 {
+			push(rows-1, c)
 		}
 	}
-	for r := 1; r < dem.Rows-1; r++ {
+	for r := 1; r < rows-1; r++ {
 		push(r, 0)
-		if dem.Cols > 1 {
-			push(r, dem.Cols-1)
+		if cols > 1 {
+			push(r, cols-1)
 		}
 	}
-	for h.Len() > 0 {
-		cell := heap.Pop(h).(floodCell)
-		for i := 0; i < 8; i++ {
-			nr, nc := cell.r+d8dr[i], cell.c+d8dc[i]
-			if !dem.In(nr, nc) || visited[nr*dem.Cols+nc] {
+	for len(h) > 0 {
+		cell := h.pop()
+		for k := 0; k < 8; k++ {
+			p := cell.p + poff[k]
+			if closed[p] {
 				continue
 			}
-			visited[nr*dem.Cols+nc] = true
-			z := out.At(nr, nc)
+			closed[p] = true
+			i := cell.i + off[k]
+			z := out.Data[i]
 			if z <= cell.z {
 				z = cell.z + eps
-				out.Set(nr, nc, z)
+				out.Data[i] = z
 			}
-			heap.Push(h, floodCell{z: z, r: nr, c: nc})
+			h.push(floodCell{z: z, i: i, p: p})
 		}
 	}
 	return out

@@ -304,27 +304,35 @@ func TestConnectivityScoreEmptyStreams(t *testing.T) {
 	}
 }
 
-func BenchmarkFlowAccumulation256(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	dem := tiltedPlane(256, 256)
-	for i := range dem.Data {
-		dem.Data[i] += rng.Float64() * 0.5
-	}
-	dirs := D8FlowDirections(dem)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		FlowAccumulation(dem, dirs)
-	}
-}
-
-func BenchmarkFillDepressions256(b *testing.B) {
+// benchDEM is a rough 1024² tilted plane, pitted like the synthetic
+// watersheds the terrain generator fills and routes.
+func benchDEM() *Grid {
 	rng := rand.New(rand.NewSource(2))
-	dem := tiltedPlane(256, 256)
+	dem := tiltedPlane(1024, 1024)
 	for i := range dem.Data {
 		dem.Data[i] += rng.Float64() * 2
 	}
+	return dem
+}
+
+// benchSink keeps benchmarked results live.
+var benchSink *Grid
+
+func BenchmarkFillDepressions(b *testing.B) {
+	dem := benchDEM()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		FillDepressions(dem)
+		benchSink = FillDepressions(dem)
+	}
+}
+
+func BenchmarkFlowAccumulation(b *testing.B) {
+	filled := FillDepressions(benchDEM())
+	dirs := D8FlowDirections(filled)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink = FlowAccumulation(filled, dirs)
 	}
 }

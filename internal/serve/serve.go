@@ -70,9 +70,9 @@ const maxBatchItems = 256
 // DetectRequest is the POST /v1/detect payload: a flattened
 // bands×size×size image in row-major order, values in [0,1].
 type DetectRequest struct {
-	Bands  int       `json:"bands"`
-	Size   int       `json:"size"`
-	Pixels []float32 `json:"pixels"`
+	Bands  int    `json:"bands"`
+	Size   int    `json:"size"`
+	Pixels Pixels `json:"pixels"`
 }
 
 // Hit is the one detection schema every /v1 endpoint speaks. Clip
@@ -643,7 +643,8 @@ func (s *Server) handleDetectBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 // validate applies the request schema: band count, positive and
-// sufficient dims, pixel count = bands·size², finite pixels.
+// sufficient dims, pixel count = bands·size² (without int overflow),
+// finite pixels.
 func (s *Server) validate(req *DetectRequest) *apiError {
 	if req.Bands != s.cfg.InBands {
 		return badRequest(CodeInvalidRequest,
@@ -655,6 +656,11 @@ func (s *Server) validate(req *DetectRequest) *apiError {
 	if req.Size < minClipSize {
 		return badRequest(CodeInvalidRequest,
 			fmt.Sprintf("clip size %d below minimum %d", req.Size, minClipSize))
+	}
+	// Bound size before forming bands·size²: a product that wraps int
+	// could match a small pixel array and reach the pool as a huge shape.
+	if req.Size > math.MaxInt/req.Size/max(req.Bands, 1) {
+		return badRequest(CodeInvalidRequest, fmt.Sprintf("clip size %d too large", req.Size))
 	}
 	if want := req.Bands * req.Size * req.Size; len(req.Pixels) != want {
 		return badRequest(CodeInvalidRequest,

@@ -147,6 +147,38 @@ func TestDetectRejectsBadInputs(t *testing.T) {
 	}
 }
 
+// TestDetectRejectsOverflowingSize sends a size whose bands·size² wraps
+// int to exactly the pixel count (4·(2⁵⁸+40)² ≡ 6400 mod 2⁶⁴): it must
+// be rejected before it can reach the pool as a 2⁵⁸-wide clip, on both
+// the single and the batch endpoint.
+func TestDetectRejectsOverflowingSize(t *testing.T) {
+	s := testServer(t)
+	const size = 1<<58 + 40
+	req := DetectRequest{Bands: 4, Size: size, Pixels: make([]float32, 6400)}
+	if e := s.validate(&req); e == nil || e.Code != CodeInvalidRequest {
+		t.Fatalf("size %d with 6400 pixels passed validation (%v)", req.Size, e)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	resp := postJSON(t, ts.URL+"/v1/detect", req)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400", resp.StatusCode)
+	}
+	if env := decodeError(t, resp); env.Error.Code != CodeInvalidRequest {
+		t.Fatalf("code %q, want %q", env.Error.Code, CodeInvalidRequest)
+	}
+	resp.Body.Close()
+	resp = postJSON(t, ts.URL+"/v1/detect/batch", BatchRequest{Items: []DetectRequest{req}})
+	defer resp.Body.Close()
+	var br BatchResponse
+	if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
+		t.Fatal(err)
+	}
+	if len(br.Items) != 1 || br.Items[0].Error == nil || br.Items[0].Error.Code != CodeInvalidRequest {
+		t.Fatalf("batch item not rejected: %+v", br.Items)
+	}
+}
+
 func TestValidateRejectsNonFinitePixels(t *testing.T) {
 	// NaN/Inf cannot ride standard JSON, so exercise the validator
 	// directly: these reach it from programmatic API use.

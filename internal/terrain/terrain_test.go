@@ -302,13 +302,23 @@ func TestFBMRangeAndDeterminism(t *testing.T) {
 	}
 }
 
-func BenchmarkGenerateWatershed256(b *testing.B) {
-	cfg := testConfig()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Generate(cfg); err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkGenerate synthesizes the 1024² watershed a default sweep job
+// scans (road spacing side/4, stream threshold 0.45·side), once per
+// terrain regime.
+func BenchmarkGenerate(b *testing.B) {
+	for _, regime := range []string{"default", RegimeFlatPlain, RegimeIncisedHills} {
+		cfg := DefaultConfig()
+		cfg.Rows, cfg.Cols = 1024, 1024
+		cfg.RoadSpacing, cfg.StreamThreshold = 256, 0.45*1024
+		cfg = Scenario{Regime: regime}.Apply(cfg)
+		b.Run(regime, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Generate(cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -68,8 +68,9 @@ func Generate(cfg Config) (*Watershed, error) {
 	w := &Watershed{Cfg: cfg}
 
 	w.BaseDEM = baseTerrain(cfg, rng)
-	w.StreamMask = streams(w.BaseDEM, cfg.StreamThreshold)
-	w.WetMask = wetlands(w.BaseDEM)
+	filled := hydro.FillDepressions(w.BaseDEM)
+	w.StreamMask = streams(filled, cfg.StreamThreshold)
+	w.WetMask = wetlands(w.BaseDEM, filled)
 	w.RoadMask = roadNetwork(cfg, rng)
 
 	// Apply embankments on top of the base terrain.
@@ -110,8 +111,9 @@ func baseTerrain(cfg Config, rng *rand.Rand) *hydro.Grid {
 	return dem
 }
 
-func streams(dem *hydro.Grid, threshold float64) []bool {
-	filled := hydro.FillDepressions(dem)
+// streams routes flow over the depression-filled DEM and marks the cells
+// whose accumulation reaches threshold.
+func streams(filled *hydro.Grid, threshold float64) []bool {
 	dirs := hydro.D8FlowDirections(filled)
 	acc := hydro.FlowAccumulation(filled, dirs)
 	return hydro.ExtractStreams(acc, threshold)
@@ -119,8 +121,7 @@ func streams(dem *hydro.Grid, threshold float64) []bool {
 
 // wetlands marks cells that the depression-filling raised significantly:
 // those are closed depressions (the watershed's depressional wetlands).
-func wetlands(dem *hydro.Grid) []bool {
-	filled := hydro.FillDepressions(dem)
+func wetlands(dem, filled *hydro.Grid) []bool {
 	mask := make([]bool, len(dem.Data))
 	for i := range mask {
 		mask[i] = filled.Data[i]-dem.Data[i] > 0.3
