@@ -64,9 +64,10 @@ test-race-telemetry:
 
 # Fast-path parity and worker-pool tests under the race detector: the
 # packed kernels, arena reuse and Infer/Forward parity all dispatch
-# through the shared pool.
+# through the shared pool, and CloneShared runs one shared module's
+# Infer from many goroutines at once (Infer must be reentrant).
 test-race-fastpath:
-	$(GO) test -race -run 'Infer|Parallel|Packed|Arena|Pool' ./internal/tensor/ ./internal/nn/ ./internal/model/
+	$(GO) test -race -run 'Infer|Parallel|Packed|Arena|Pool|CloneShared' ./internal/tensor/ ./internal/nn/ ./internal/model/
 
 # Concurrent stage executor under the race detector with real pool
 # workers: group fan-out, the RunInline pricing mode, and the scheduled

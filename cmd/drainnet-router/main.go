@@ -14,9 +14,12 @@
 // (/v1/sweep, or anything tagged X-Drainnet-Class: bulk): the bulk
 // budget shrinks proportionally as interactive occupancy rises, so
 // overload sheds bulk with 429 + Retry-After while interactive latency
-// holds. Idempotent requests that die with a worker are transparently
-// retried on another worker — a worker crash loses zero accepted
-// requests — and crashed workers respawn with exponential backoff.
+// holds. The header is forwarded, and each worker honors it too: tagged
+// detects ride the worker pool's bulk lane, which never shares a batch
+// with interactive requests. Idempotent requests that die with a worker
+// are transparently retried on another worker — a worker crash loses
+// zero accepted requests — and crashed workers respawn with exponential
+// backoff.
 //
 // SIGTERM/SIGINT drains the cluster: the router stops admitting,
 // finishes in-flight proxied requests, SIGTERMs every worker, waits for

@@ -23,8 +23,15 @@
 // graceful drain: restart the server with the same -sweep-dir and the
 // unfinished jobs resume bit-identically.
 //
-// Inference is batched across a pool of independent model replicas;
-// -max-batch and -max-wait tune the §6.4 latency/throughput trade-off.
+// Inference runs on a pool of independent model replicas. Dispatch is
+// work-conserving: an idle replica takes pending requests at once, and
+// batches (up to -max-batch clips) form only from the backlog while every
+// replica is busy. -max-wait (default 0) opts into holding an idle
+// replica up to that long for a partial batch to fill — the §6.4
+// latency/throughput trade-off, worth it only when a clip costs less
+// inside a batch. Sweep clips and requests tagged X-Drainnet-Class: bulk
+// ride a bulk lane that never shares a batch with interactive requests
+// and leaves one replica free for them.
 // Telemetry is on by default: serving counters and phase histograms are
 // always scrapeable at /v1/metrics, and -trace-sample N additionally
 // exports every N-th request's span as a Chrome trace.
@@ -33,7 +40,7 @@
 //
 //	drainnet-serve -addr :8080                 # train quickly, then serve
 //	drainnet-serve -ckpt model.ckpt            # load a saved checkpoint
-//	drainnet-serve -replicas 4 -max-batch 32 -max-wait 2ms -queue 256
+//	drainnet-serve -replicas 4 -max-batch 32 -queue 256
 //	drainnet-serve -trace-sample 100 -trace-dir traces/ -pprof
 //	drainnet-serve -ios -ios-cache costs.json   # IOS-scheduled replicas
 //	drainnet-serve -precision int8 -quant-max-ap-drop 0.01   # accuracy-gated int8
@@ -96,7 +103,7 @@ func main() {
 	threshold := flag.Float64("threshold", 0.7, "objectness confidence threshold")
 	replicas := flag.Int("replicas", 0, "model replicas serving concurrently (0 = GOMAXPROCS)")
 	maxBatch := flag.Int("max-batch", 8, "max clips coalesced into one forward pass")
-	maxWait := flag.Duration("max-wait", 2*time.Millisecond, "max time a request waits for its batch to fill")
+	maxWait := flag.Duration("max-wait", 0, "opt-in hold: max time an idle replica waits for a partial batch to fill (0 = work-conserving, dispatch at once)")
 	queue := flag.Int("queue", 64, "bounded request queue size (full queue → 429)")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request timeout (queue + inference)")
 	telemetryOn := flag.Bool("telemetry", true, "run the span pipeline feeding /v1/metrics phase histograms")

@@ -4,6 +4,8 @@ import (
 	"net/http"
 	"strings"
 	"sync/atomic"
+
+	"drainnet/internal/serve"
 )
 
 // Class is a request priority class.
@@ -29,7 +31,9 @@ func (c Class) String() string {
 
 // ClassHeader tags a request's priority class explicitly; the value
 // "bulk" demotes a request that would otherwise classify interactive.
-const ClassHeader = "X-Drainnet-Class"
+// It is the worker's header too: forwarded bulk detects ride the
+// worker pool's bulk lane.
+const ClassHeader = serve.ClassHeader
 
 // classify derives a request's priority class from its route and the
 // optional class header. Control-plane reads (metrics, stats, health)

@@ -33,40 +33,28 @@ type Conv2D struct {
 	cols    []*tensor.Tensor // per-sample lowered input (im2col path)
 	input   *tensor.Tensor   // retained for the direct path
 
-	// inference fast path: weights packed once (shared across replicas)
-	// and reusable task descriptors so Infer dispatches allocation-free.
-	packed   *tensor.Packed
-	colsTask convColsTask
-	gemmTask convGemmTask
+	// inference fast path: weights packed once (shared across replicas).
+	// Per-call task descriptors live in the caller's arena
+	// (tensor.Scratch), so Infer is reentrant.
+	packed *tensor.Packed
 
 	// per-bucket kernel choice (autotuner-selected; im2col by default)
 	// plus the alternate weight layouts those kernels read. Packed
-	// layouts are immutable and shared across replicas; task descriptors
-	// are per-replica.
+	// layouts are immutable and shared across replicas.
 	kernB1, kernBN ConvKernel
 	wino           *tensor.Winograd
 	nchwc          *tensor.PackedNCHWc
-	winoBatch      winoBatchTask
-	winoIn         winoInTask
-	winoMul        winoMulTask
-	winoOut        winoOutTask
-	nchwcBatch     nchwcBatchTask
-	nchwcB1        nchwcBlockTask
-	directBatch    directBatchTask
-	directB1       directChanTask
 
 	// spatial mask spec for KernelMasked (set via SetMask): band height in
 	// output rows, the mean-abs-deviation energy threshold gating each
 	// band, shared per-(out,in)-channel kernel sums (wsum) plus 2D
 	// prefix-sum tables over kernel taps (wpre) for the flat-response
 	// fills, and the shared cumulative skip counters.
-	maskBand    int
-	maskThresh  float32
-	maskStats   *MaskStats
-	wsum        []float32
-	wpre        []float32
-	maskedBatch maskedBatchTask
-	maskedB1    maskedBandTask
+	maskBand   int
+	maskThresh float32
+	maskStats  *MaskStats
+	wsum       []float32
+	wpre       []float32
 }
 
 // NewConv2D creates a convolution layer with He initialization. Kernel is
@@ -280,7 +268,7 @@ func (c *Conv2D) prepareInference() {
 }
 
 // cloneShared implements sharedCloner: weights, bias and packed panels
-// are shared; forward caches and task descriptors are fresh.
+// are shared; forward caches are fresh.
 func (c *Conv2D) cloneShared() Module {
 	return &Conv2D{
 		InC:        c.InC,
@@ -348,10 +336,10 @@ func (c *Conv2D) inferFused(x *tensor.Tensor, a *tensor.Arena, relu bool) *tenso
 		c.inferWinograd(out, x, a, relu, n, ch, h, w, oh, ow)
 		return out
 	case KernelNCHWc:
-		c.inferNCHWc(out, x, relu, n, ch, h, w, oh, ow)
+		c.inferNCHWc(out, x, a, relu, n, ch, h, w, oh, ow)
 		return out
 	case KernelDirect:
-		c.inferDirect(out, x, relu, n, ch, h, w, oh, ow)
+		c.inferDirect(out, x, a, relu, n, ch, h, w, oh, ow)
 		return out
 	case KernelMasked:
 		c.inferMasked(out, x, a, relu, n, ch, h, w, oh, ow)
@@ -368,7 +356,7 @@ func (c *Conv2D) inferFused(x *tensor.Tensor, a *tensor.Arena, relu bool) *tenso
 		// sample first and gemm-ing second streams the whole n×kdim×ohw
 		// buffer through cache twice and costs ~10% at batch 16.
 		cols := a.Get(n, kdim, ohw)
-		ct := &c.colsTask
+		ct := tensor.Scratch[convColsTask](a)
 		ct.cols, ct.x, ct.out = cols.Data(), x.Data(), out.Data()
 		ct.sampleStride, ct.colStride, ct.outStride = ch*h*w, kdim*ohw, c.OutC*ohw
 		ct.c, ct.h, ct.w, ct.geom = ch, h, w, c.Geom
@@ -382,7 +370,7 @@ func (c *Conv2D) inferFused(x *tensor.Tensor, a *tensor.Arena, relu bool) *tenso
 	// once and spread the gemm panel-by-panel over the pool.
 	cols := a.Get(kdim, ohw)
 	tensor.Im2ColSlice(cols.Data(), x.Data(), ch, h, w, c.Geom)
-	gt := &c.gemmTask
+	gt := tensor.Scratch[convGemmTask](a)
 	gt.packed = c.packed
 	gt.out, gt.cols = out.Data(), cols.Data()
 	gt.outStride, gt.colStride = c.OutC*ohw, kdim*ohw

@@ -214,3 +214,62 @@ func TestConvIm2ColVsDirectStrideAndEvenKernel(t *testing.T) {
 		}
 	}
 }
+
+// Infer on one shared module must be reentrant for every conv kernel and
+// for the int8 layers: concurrent calls, each with its own arena, match
+// a sequential run bit for bit (per-call task state lives in the arena).
+func TestInferReentrantAcrossKernels(t *testing.T) {
+	nets := map[string]*Sequential{}
+	for _, k := range ConvKernels() {
+		rng := rand.New(rand.NewSource(76))
+		net := testNet(rng)
+		for _, m := range net.Modules() {
+			if c, ok := m.(*Conv2D); ok {
+				if k == KernelMasked {
+					c.SetMask(ConvMask{Stats: &MaskStats{}})
+				}
+				if c.KernelEligible(k) {
+					c.SetKernels(k, k)
+				}
+			}
+		}
+		PrepareInference(net)
+		nets[k.String()] = net
+	}
+	rng := rand.New(rand.NewSource(77))
+	base := testNet(rng)
+	cal := Calibrate(base, []*tensor.Tensor{randInput(rng, 4, 3, 20, 20)})
+	q, _, err := QuantizeForInference(base, cal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nets["int8"] = q
+
+	for name, net := range nets {
+		for _, n := range []int{1, 3} {
+			x := randInput(rand.New(rand.NewSource(78)), n, 3, 20, 20)
+			want := net.Infer(x, tensor.NewArena()).Clone()
+			var wg sync.WaitGroup
+			results := make([]*tensor.Tensor, 8)
+			for g := range results {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					a := tensor.NewArena()
+					for i := 0; i < 4; i++ {
+						a.Reset()
+						results[g] = net.Infer(x, a)
+					}
+				}(g)
+			}
+			wg.Wait()
+			for g, r := range results {
+				for i, v := range want.Data() {
+					if r.Data()[i] != v {
+						t.Fatalf("%s batch %d goroutine %d: element %d = %v, want %v", name, n, g, i, r.Data()[i], v)
+					}
+				}
+			}
+		}
+	}
+}

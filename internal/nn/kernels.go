@@ -183,7 +183,7 @@ func (c *Conv2D) inferWinograd(out, x *tensor.Tensor, a *tensor.Arena, relu bool
 	bias := c.Bias.Value.Data()
 	if n > 1 {
 		scr := a.Get(n, sl)
-		t := &c.winoBatch
+		t := tensor.Scratch[winoBatchTask](a)
 		t.wino = c.wino
 		t.out, t.x, t.scratch = out.Data(), x.Data(), scr.Data()
 		t.sampleStride, t.outStride, t.scratchStride = ch*h*w, c.OutC*oh*ow, sl
@@ -198,16 +198,16 @@ func (c *Conv2D) inferWinograd(out, x *tensor.Tensor, a *tensor.Arena, relu bool
 	v := scr.Data()[:c.wino.Positions()*c.InC*nT]
 	m := scr.Data()[c.wino.Positions()*c.InC*nT : sl]
 
-	it := &c.winoIn
+	it := tensor.Scratch[winoInTask](a)
 	it.wino, it.v, it.x = c.wino, v, x.Data()
 	it.h, it.w, it.padH, it.padW = h, w, c.Geom.PadH, c.Geom.PadW
 	tensor.ParallelRange(c.InC, 1, it)
 
-	mt := &c.winoMul
+	mt := tensor.Scratch[winoMulTask](a)
 	mt.wino, mt.m, mt.v, mt.nT = c.wino, m, v, nT
 	tensor.ParallelRange(c.wino.Positions(), 1, mt)
 
-	ot := &c.winoOut
+	ot := tensor.Scratch[winoOutTask](a)
 	ot.wino, ot.out, ot.m = c.wino, out.Data(), m
 	ot.oh, ot.ow = oh, ow
 	ot.bias, ot.relu = bias, relu
@@ -217,10 +217,10 @@ func (c *Conv2D) inferWinograd(out, x *tensor.Tensor, a *tensor.Arena, relu bool
 // inferNCHWc is the cache-blocked direct inference forward: whole
 // samples across the pool for batches, output-channel blocks for batch 1.
 // No scratch at all — the kernel accumulates in the output tensor.
-func (c *Conv2D) inferNCHWc(out, x *tensor.Tensor, relu bool, n, ch, h, w, oh, ow int) {
+func (c *Conv2D) inferNCHWc(out, x *tensor.Tensor, a *tensor.Arena, relu bool, n, ch, h, w, oh, ow int) {
 	bias := c.Bias.Value.Data()
 	if n > 1 {
-		t := &c.nchwcBatch
+		t := tensor.Scratch[nchwcBatchTask](a)
 		t.p = c.nchwc
 		t.out, t.x = out.Data(), x.Data()
 		t.sampleStride, t.outStride = ch*h*w, c.OutC*oh*ow
@@ -229,7 +229,7 @@ func (c *Conv2D) inferNCHWc(out, x *tensor.Tensor, relu bool, n, ch, h, w, oh, o
 		tensor.ParallelRange(n, 1, t)
 		return
 	}
-	bt := &c.nchwcB1
+	bt := tensor.Scratch[nchwcBlockTask](a)
 	bt.p = c.nchwc
 	bt.out, bt.x = out.Data(), x.Data()
 	bt.h, bt.w = h, w
@@ -239,11 +239,11 @@ func (c *Conv2D) inferNCHWc(out, x *tensor.Tensor, relu bool, n, ch, h, w, oh, o
 
 // inferDirect is the unpacked direct micro-kernel forward: whole samples
 // across the pool for batches, output channels for batch 1.
-func (c *Conv2D) inferDirect(out, x *tensor.Tensor, relu bool, n, ch, h, w, oh, ow int) {
+func (c *Conv2D) inferDirect(out, x *tensor.Tensor, a *tensor.Arena, relu bool, n, ch, h, w, oh, ow int) {
 	bias := c.Bias.Value.Data()
 	wt := c.Weight.Value.Data()
 	if n > 1 {
-		t := &c.directBatch
+		t := tensor.Scratch[directBatchTask](a)
 		t.out, t.x, t.wt = out.Data(), x.Data(), wt
 		t.sampleStride, t.outStride = ch*h*w, c.OutC*oh*ow
 		t.inC, t.outC, t.h, t.w, t.geom = c.InC, c.OutC, h, w, c.Geom
@@ -251,7 +251,7 @@ func (c *Conv2D) inferDirect(out, x *tensor.Tensor, relu bool, n, ch, h, w, oh, 
 		tensor.ParallelRange(n, 1, t)
 		return
 	}
-	ct := &c.directB1
+	ct := tensor.Scratch[directChanTask](a)
 	ct.out, ct.x, ct.wt = out.Data(), x.Data(), wt
 	ct.inC, ct.outC, ct.h, ct.w, ct.geom = c.InC, c.OutC, h, w, c.Geom
 	ct.bias, ct.relu = bias, relu

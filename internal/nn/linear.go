@@ -17,7 +17,6 @@ type Linear struct {
 
 	// inference fast path
 	packed *tensor.Packed
-	task   linearTask
 }
 
 // NewLinear creates a fully-connected layer with Xavier initialization.
@@ -128,7 +127,7 @@ func (l *Linear) inferFused(x *tensor.Tensor, a *tensor.Arena, relu bool) *tenso
 	l.prepareInference()
 	n := x.Dim(0)
 	out := a.Get(n, l.Out)
-	t := &l.task
+	t := tensor.Scratch[linearTask](a)
 	t.packed = l.packed
 	t.out, t.x = out.Data(), x.Data()
 	t.outW, t.inW, t.panels = l.Out, l.In, l.packed.Panels()

@@ -298,7 +298,7 @@ func (c *Conv2D) inferMasked(out, x *tensor.Tensor, a *tensor.Arena, relu bool, 
 	if n > 1 {
 		cols := a.Get(n, kdim, ohw)
 		scratch := a.Get(n, ch+h+2*c.OutC)
-		t := &c.maskedBatch
+		t := tensor.Scratch[maskedBatchTask](a)
 		t.out, t.x, t.cols, t.scratch = out.Data(), x.Data(), cols.Data(), scratch.Data()
 		t.sampleStride, t.colStride, t.outStride, t.scratchStride = ch*h*w, kdim*ohw, c.OutC*ohw, ch+h+2*c.OutC
 		t.c, t.h, t.w, t.oh, t.ow, t.outC = ch, h, w, oh, ow, c.OutC
@@ -320,7 +320,7 @@ func (c *Conv2D) inferMasked(out, x *tensor.Tensor, a *tensor.Arena, relu bool, 
 	flat := scratch.Data()[ch+h : ch+h+c.OutC]
 	maskEnergy(x.Data(), ch, h, w, mu, energy)
 	flatResponse(flat, mu, c.wsum, bias, c.OutC, c.InC)
-	t := &c.maskedB1
+	t := tensor.Scratch[maskedBandTask](a)
 	t.out, t.x, t.cols = out.Data(), x.Data(), cols.Data()
 	t.mu, t.energy, t.flat, t.tmp, t.wpre = mu, energy, flat, tmp.Data(), c.wpre
 	t.c, t.h, t.w, t.oh, t.ow, t.outC = ch, h, w, oh, ow, c.OutC

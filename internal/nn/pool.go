@@ -14,8 +14,6 @@ type MaxPool2D struct {
 
 	inShape []int
 	argmax  []int32 // flat input index chosen for each output element
-
-	task maxPoolTask // inference dispatch, reused across calls
 }
 
 // NewMaxPool2D creates a k×k max pool with the given stride and no padding.
@@ -106,8 +104,6 @@ type AdaptiveMaxPool2D struct {
 
 	inShape []int
 	argmax  []int32
-
-	task adaptivePoolTask // inference dispatch, reused across calls
 }
 
 // NewAdaptiveMaxPool2D creates an adaptive max pool with an out×out target.
@@ -201,7 +197,7 @@ func (p *MaxPool2D) Infer(x *tensor.Tensor, a *tensor.Arena) *tensor.Tensor {
 	}
 	oh, ow := p.Geom.OutSize(h, w)
 	out := a.Get(n, c, oh, ow)
-	t := &p.task
+	t := tensor.Scratch[maxPoolTask](a)
 	t.x, t.out = x.Data(), out.Data()
 	t.h, t.w, t.oh, t.ow = h, w, oh, ow
 	t.geom = p.Geom
@@ -258,7 +254,7 @@ func (p *AdaptiveMaxPool2D) Infer(x *tensor.Tensor, a *tensor.Arena) *tensor.Ten
 		panic("nn: AdaptiveMaxPool2D empty input")
 	}
 	out := a.Get(n, c, p.OutH, p.OutW)
-	t := &p.task
+	t := tensor.Scratch[adaptivePoolTask](a)
 	t.x, t.out = x.Data(), out.Data()
 	t.h, t.w, t.oh, t.ow = h, w, p.OutH, p.OutW
 	tensor.ParallelRange(n*c, 1, t)

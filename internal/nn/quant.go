@@ -211,9 +211,7 @@ type QuantConv2D struct {
 	inZP     int32     // activation zero point
 	outScale []float32 // per-row weightScale · activationScale
 
-	colsTask qconvColsTask
-	gemmTask qconvGemmTask
-	fwd      *tensor.Arena // Forward-mode scratch (tracing path)
+	fwd *tensor.Arena // Forward-mode scratch (tracing path)
 }
 
 // newQuantConv2D quantizes c against its observed input range. ok is
@@ -274,7 +272,7 @@ func (q *QuantConv2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 }
 
 // cloneShared implements sharedCloner: packed codes, scales and the base
-// layer are shared; task descriptors and scratch are fresh.
+// layer are shared; the Forward scratch arena is fresh.
 func (q *QuantConv2D) cloneShared() Module {
 	return &QuantConv2D{
 		base:     q.base,
@@ -314,7 +312,7 @@ func (q *QuantConv2D) inferFused(x *tensor.Tensor, a *tensor.Arena, relu bool) *
 		qx := a.Int8(n * ch * h * w)
 		cols := a.Int8(n * kdim * ohw)
 		acc := a.Int64(n * 2 * ohw)
-		t := &q.colsTask
+		t := tensor.Scratch[qconvColsTask](a)
 		t.qx, t.cols, t.acc = qx, cols, acc
 		t.x, t.out = x.Data(), out.Data()
 		t.sampleStride, t.colStride, t.outStride = ch*h*w, kdim*ohw, c.OutC*ohw
@@ -335,7 +333,7 @@ func (q *QuantConv2D) inferFused(x *tensor.Tensor, a *tensor.Arena, relu bool) *
 	tensor.Im2ColSliceInt8(cols, qx, ch, h, w, c.Geom, int8(q.inZP))
 	panels := q.packed.Panels()
 	acc := a.Int64(panels * 2 * ohw)
-	gt := &q.gemmTask
+	gt := tensor.Scratch[qconvGemmTask](a)
 	gt.packed = q.packed
 	gt.out, gt.cols, gt.acc = out.Data(), cols, acc
 	gt.ohw = ohw
@@ -403,8 +401,7 @@ type QuantLinear struct {
 	inZP     int32
 	outScale []float32
 
-	task qlinearTask
-	fwd  *tensor.Arena
+	fwd *tensor.Arena
 }
 
 func newQuantLinear(l *Linear, obs *MinMaxObserver) (*QuantLinear, bool) {
@@ -484,7 +481,7 @@ func (q *QuantLinear) inferFused(x *tensor.Tensor, a *tensor.Arena, relu bool) *
 	out := a.Get(n, l.Out)
 	qx := a.Int8(n * l.In)
 	tensor.QuantizeSlice(qx, x.Data(), q.inInv, q.inZP)
-	t := &q.task
+	t := tensor.Scratch[qlinearTask](a)
 	t.packed = q.packed
 	t.out, t.qx = out.Data(), qx
 	t.outW, t.inW, t.panels = l.Out, l.In, q.packed.Panels()

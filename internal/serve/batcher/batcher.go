@@ -1,20 +1,29 @@
 // Package batcher implements batched, multi-replica inference serving.
 //
 // The paper's efficiency metric is latency per image *at a batch size*
-// (§6.4): a served model only realizes the batched efficiency the paper
-// optimizes for if the serving path actually forms batches. This package
-// accepts single-clip requests, coalesces them into batches (bounded by a
-// maximum batch size and a maximum wait, mirroring §6.4 batch tuning),
-// and dispatches the batches across a pool of N independent network
-// replicas. Each replica owns its layer caches (internal/nn layers cache
-// forward activations and are not safe for concurrent use), so replicas
-// run truly concurrently.
+// (§6.4). Batching pays only when a clip costs less inside a batch, so
+// this package forms batches from backlog, never by waiting: dispatch is
+// work-conserving. An idle replica takes the oldest pending group of
+// same-shape requests at once, up to MaxBatch clips; requests coalesce
+// into larger batches only while every replica is busy. MaxWait is an
+// opt-in hold (0 by default): with it set, an idle replica may wait up
+// to MaxWait for a partial group to fill. Each replica is a shared-weight
+// clone of the network with its own arena, so replicas run concurrently.
 //
-// Backpressure is a bounded queue: when it is full, Submit fails fast
-// with ErrQueueFull so the HTTP layer can answer 429 with Retry-After
-// instead of letting latency grow without bound. Close drains the queue
-// gracefully: everything already accepted is served, new submissions are
-// refused with ErrClosed.
+// Requests come in two classes. Interactive requests (the default) are
+// latency-sensitive; bulk requests (contexts marked with WithBulk, such
+// as sweep clips) are throughput work. The classes never share a batch,
+// an idle replica serves the oldest interactive group before any bulk
+// group, and bulk batches occupy at most max(1, R−1) of the R replicas,
+// so with R ≥ 2 an interactive arrival always finds a replica that bulk
+// work cannot take.
+//
+// Backpressure is a bounded queue per class: the dispatcher holds at
+// most MaxBatch requests per class, the rest wait in the queue, and when
+// it is full Submit fails fast with ErrQueueFull so the HTTP layer can
+// answer 429 with Retry-After instead of letting latency grow without
+// bound. Close drains both classes gracefully: everything already
+// accepted is served, new submissions are refused with ErrClosed.
 package batcher
 
 import (
@@ -48,15 +57,17 @@ type Options struct {
 	// replicas serve batches concurrently without sharing layer caches.
 	Replicas int
 	// MaxBatch is the largest batch a single forward pass may carry
-	// (default 8). A group of same-shape requests is flushed as soon as it
-	// reaches MaxBatch.
+	// (default 8), and the most requests the dispatcher holds per class.
 	MaxBatch int
-	// MaxWait bounds how long the oldest queued request waits for its
-	// batch to fill before the partial batch is flushed (default 2ms).
-	// Larger values trade latency for bigger batches — the §6.4 knob.
+	// MaxWait is an opt-in hold: how long an idle replica may wait for a
+	// partial group to fill before taking it. The default 0 is
+	// work-conserving — an idle replica takes whatever is pending at
+	// once, and batches form only from backlog while every replica is
+	// busy. Larger values trade latency for bigger batches (the §6.4
+	// knob), which pays only when a clip costs less inside a batch.
 	MaxWait time.Duration
-	// QueueSize is the bounded queue capacity (default 64). When the
-	// queue is full Submit returns ErrQueueFull.
+	// QueueSize is the capacity of each class's bounded queue (default
+	// 64). When a queue is full Submit returns ErrQueueFull.
 	QueueSize int
 	// Telemetry receives serving metrics and span events. Nil selects a
 	// private registry-only instance (metrics still accumulate and feed
@@ -106,8 +117,8 @@ func (o Options) withDefaults() Options {
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = 8
 	}
-	if o.MaxWait <= 0 {
-		o.MaxWait = 2 * time.Millisecond
+	if o.MaxWait < 0 {
+		o.MaxWait = 0
 	}
 	if o.QueueSize <= 0 {
 		o.QueueSize = 64
@@ -131,23 +142,61 @@ type request struct {
 	path model.Precision
 }
 
+// Request classes: each has its own bounded queue and dispatcher lane.
+const (
+	classInteractive = iota
+	classBulk
+	numClasses
+)
+
+type bulkKey struct{}
+
+// WithBulk marks submissions made with the returned context as bulk
+// work: they ride the bulk lane, never share a batch with interactive
+// clips, and run on at most max(1, R−1) replicas. Sweep jobs submit
+// this way.
+func WithBulk(ctx context.Context) context.Context {
+	return context.WithValue(ctx, bulkKey{}, true)
+}
+
+// IsBulk reports whether ctx was marked with WithBulk.
+func IsBulk(ctx context.Context) bool {
+	b, _ := ctx.Value(bulkKey{}).(bool)
+	return b
+}
+
+func classOf(ctx context.Context) int {
+	if IsBulk(ctx) {
+		return classBulk
+	}
+	return classInteractive
+}
+
 type result struct {
 	det metrics.Detection
 	err error
 }
 
-// job is a flushed batch bound for a replica.
+// job is a formed batch bound for an idle replica.
 type job struct {
 	reqs []*request
+	bulk bool
 }
 
 // Pool coalesces single-clip requests into batches and runs them across
 // independent model replicas. Create one with New; it is safe for
 // concurrent use by any number of goroutines.
 type Pool struct {
-	opts  Options
-	queue chan *request
+	opts Options
+	// queues are the per-class bounded queues Submit fails fast on.
+	queues [numClasses]chan *request
+	// work carries formed batches to replicas; the dispatcher sends only
+	// for an idle replica. freed carries each finished batch's class back.
 	work  chan *job
+	freed chan bool
+	// held mirrors each lane's count of requests the dispatcher holds in
+	// groups (reported in Stats).
+	held [numClasses]atomic.Int64
 
 	// curMaxBatch/curMaxWaitNs are the *effective* batching knobs the
 	// dispatcher reads each iteration. They start at the configured
@@ -158,7 +207,7 @@ type Pool struct {
 	curMaxWaitNs atomic.Int64
 
 	// closing is closed-state coordination: Submit holds a read lock
-	// across its queue send so Close can safely close(queue) once no
+	// across its queue send so Close can safely close the queues once no
 	// sender is in flight.
 	closing closeGate
 
@@ -290,8 +339,8 @@ func New(cfg model.Config, net *nn.Sequential, opts Options) (*Pool, error) {
 	}
 	p := &Pool{
 		opts:           opts,
-		queue:          make(chan *request, opts.QueueSize),
 		work:           make(chan *job, opts.Replicas),
+		freed:          make(chan bool, opts.Replicas),
 		dispatcherDone: make(chan struct{}),
 		workersDone:    make(chan struct{}),
 		stats:          newStatsAccum(opts),
@@ -304,6 +353,9 @@ func New(cfg model.Config, net *nn.Sequential, opts Options) (*Pool, error) {
 		if p.dyn.RouterEnabled && opts.Dynamic.Int8Net != nil {
 			p.router = p.dyn.Router
 		}
+	}
+	for c := range p.queues {
+		p.queues[c] = make(chan *request, opts.QueueSize)
 	}
 	p.curMaxBatch.Store(int64(opts.MaxBatch))
 	p.curMaxWaitNs.Store(int64(opts.MaxWait))
@@ -438,8 +490,9 @@ func (p *Pool) maxWait() time.Duration { return time.Duration(p.curMaxWaitNs.Loa
 
 // Submit enqueues one 1×C×H×W clip and blocks until its detection is
 // ready, the context is done, or the pool rejects it. It is safe to call
-// from many goroutines; same-shape submissions that overlap in time are
-// coalesced into shared batches.
+// from many goroutines; same-shape, same-class submissions that queue up
+// while every replica is busy are coalesced into shared batches. A
+// context marked with WithBulk submits on the bulk lane.
 func (p *Pool) Submit(ctx context.Context, x *tensor.Tensor) (metrics.Detection, error) {
 	if x == nil || x.Rank() != 4 || x.Dim(0) != 1 {
 		return metrics.Detection{}, errors.New("batcher: Submit wants a 1×C×H×W tensor")
@@ -449,6 +502,7 @@ func (p *Pool) Submit(ctx context.Context, x *tensor.Tensor) (metrics.Detection,
 		id = p.tel.NextRequestID()
 	}
 	req := &request{ctx: ctx, x: x, id: id, enq: time.Now(), done: make(chan result, 1)}
+	queue := p.queues[classOf(ctx)]
 	if p.router != nil {
 		req.path = p.router.Route(x, 0)
 		p.stats.route(req.path)
@@ -459,9 +513,9 @@ func (p *Pool) Submit(ctx context.Context, x *tensor.Tensor) (metrics.Detection,
 		return metrics.Detection{}, ErrClosed
 	}
 	select {
-	case p.queue <- req:
+	case queue <- req:
 		p.closing.leave()
-		p.stats.setQueueDepth(len(p.queue))
+		p.stats.setQueueDepth(p.queueDepth())
 		p.tel.Emit(telemetry.Event{Kind: telemetry.EvEnqueued, Req: req.id, At: req.enq})
 	default:
 		p.closing.leave()
@@ -479,36 +533,90 @@ func (p *Pool) Submit(ctx context.Context, x *tensor.Tensor) (metrics.Detection,
 			return res.det, res.err
 		default:
 		}
-		// The request stays queued; the flusher drops it when it notices
-		// the dead context. The buffered done channel lets the worker
-		// deliver without blocking even though nobody reads it.
+		// The request stays queued; the dispatcher drops it when it
+		// notices the dead context. The buffered done channel lets the
+		// worker deliver without blocking even though nobody reads it.
 		p.stats.cancel()
 		return metrics.Detection{}, ctx.Err()
 	}
 }
 
 // Stats returns a snapshot of serving statistics.
-func (p *Pool) Stats() Stats { return p.stats.snapshot(len(p.queue)) }
+func (p *Pool) Stats() Stats {
+	st := p.stats.snapshot(len(p.queues[classInteractive]), len(p.queues[classBulk]))
+	st.Interactive.Held = int(p.held[classInteractive].Load())
+	st.Bulk.Held = int(p.held[classBulk].Load())
+	return st
+}
+
+// queueDepth is the number of requests waiting in both class queues.
+func (p *Pool) queueDepth() int {
+	return len(p.queues[classInteractive]) + len(p.queues[classBulk])
+}
 
 // Close drains the pool: new Submits fail with ErrClosed, every request
-// already accepted is served, and Close returns once all replicas are
-// idle. Close is idempotent.
+// already accepted in either class is served, and Close returns once all
+// replicas are idle. Close is idempotent.
 func (p *Pool) Close() {
 	if p.closing.close() {
-		close(p.queue)
+		for _, q := range p.queues {
+			close(q)
+		}
 	}
 	<-p.dispatcherDone
 	<-p.workersDone
 }
 
-// dispatch coalesces queued requests into per-shape groups and flushes a
-// group when it reaches MaxBatch (full-batch flush) or when its oldest
-// member has waited MaxWait (timeout flush).
+// dispatcher is the dispatch goroutine's state: the groups each lane
+// holds and the replica accounting workers report into through freed.
+type dispatcher struct {
+	p     *Pool
+	lanes [numClasses]lane
+	// idle counts replicas with no batch; bulkBusy counts replicas
+	// running a bulk batch, capped at bulkCap = max(1, R−1).
+	idle, bulkBusy, bulkCap int
+}
+
+// lane is one class's side of the dispatcher: its bounded queue (nil
+// once closed and emptied) and the same-key groups received from it.
+type lane struct {
+	queue  chan *request
+	groups []group
+	held   int // requests across groups
+}
+
+// group is a run of same-key requests that may share a forward pass.
+type group struct {
+	key  groupKey
+	reqs []*request
+}
+
+// groupKey groups requests that may share a forward pass: same shape
+// and, under dynamic routing, the same precision path.
+type groupKey struct {
+	c, h, w int
+	path    model.Precision
+}
+
+func keyOf(req *request) groupKey {
+	return groupKey{c: req.x.Dim(1), h: req.x.Dim(2), w: req.x.Dim(3), path: req.path}
+}
+
+// dispatch is work-conserving: after every event (an arrival, a freed
+// replica, a hold expiring) each idle replica takes the next ready group
+// at once, up to MaxBatch clips, so groups grow only while no replica
+// can take them. Interactive groups go first; bulk groups run on at most
+// bulkCap replicas, so R ≥ 2 always leaves a replica for interactive
+// arrivals. Each lane holds at most MaxBatch requests; the rest wait in
+// its bounded queue, which fills and turns Submit away (ErrQueueFull).
 func (p *Pool) dispatch() {
 	defer close(p.dispatcherDone)
 	defer close(p.work)
 
-	pending := make(map[string][]*request)
+	d := &dispatcher{p: p, idle: len(p.reps), bulkCap: max(1, len(p.reps)-1)}
+	for c := range d.lanes {
+		d.lanes[c].queue = p.queues[c]
+	}
 	timer := time.NewTimer(time.Hour)
 	if !timer.Stop() {
 		<-timer.C
@@ -516,69 +624,141 @@ func (p *Pool) dispatch() {
 	defer timer.Stop()
 
 	for {
-		var timerC <-chan time.Time
-		if dl, ok := p.earliestDeadline(pending); ok {
-			d := time.Until(dl)
-			if d <= 0 {
-				p.flushDue(pending, time.Now())
-				continue
+		hold := d.assign(time.Now())
+		if d.drained() {
+			return
+		}
+		var in [numClasses]chan *request
+		for c := range d.lanes {
+			if l := &d.lanes[c]; l.held < p.maxBatch() {
+				in[c] = l.queue
 			}
-			timer.Reset(d)
+		}
+		var timerC <-chan time.Time
+		if hold > 0 {
+			timer.Reset(hold)
 			timerC = timer.C
 		}
-
+		fired := false
 		select {
-		case req, ok := <-p.queue:
-			if timerC != nil && !timer.Stop() {
-				<-timer.C
-			}
-			if !ok {
-				for key := range pending {
-					p.flushGroup(pending, key)
-				}
-				return
-			}
-			key := batchKey(req)
-			pending[key] = append(pending[key], req)
-			if len(pending[key]) >= p.maxBatch() {
-				p.flushGroup(pending, key)
+		case req, ok := <-in[classInteractive]:
+			d.accept(classInteractive, req, ok)
+		case req, ok := <-in[classBulk]:
+			d.accept(classBulk, req, ok)
+		case bulk := <-p.freed:
+			d.idle++
+			if bulk {
+				d.bulkBusy--
+				p.stats.setBusyBulk(d.bulkBusy)
 			}
 		case <-timerC:
-			p.flushDue(pending, time.Now())
+			fired = true
+		}
+		if timerC != nil && !fired && !timer.Stop() {
+			<-timer.C
 		}
 	}
 }
 
-// earliestDeadline returns the soonest flush deadline across groups.
-func (p *Pool) earliestDeadline(pending map[string][]*request) (time.Time, bool) {
-	var dl time.Time
-	found := false
-	for _, reqs := range pending {
-		if len(reqs) == 0 {
-			continue
-		}
-		d := reqs[0].enq.Add(p.maxWait())
-		if !found || d.Before(dl) {
-			dl, found = d, true
+// accept adds one received request to its lane's group, or marks the
+// lane closed when its queue is closed and empty.
+func (d *dispatcher) accept(c int, req *request, ok bool) {
+	l := &d.lanes[c]
+	if !ok {
+		l.queue = nil
+		return
+	}
+	l.held++
+	d.p.held[c].Store(int64(l.held))
+	key := keyOf(req)
+	for i := range l.groups {
+		if l.groups[i].key == key {
+			l.groups[i].reqs = append(l.groups[i].reqs, req)
+			return
 		}
 	}
-	return dl, found
+	l.groups = append(l.groups, group{key: key, reqs: []*request{req}})
 }
 
-func (p *Pool) flushDue(pending map[string][]*request, now time.Time) {
-	for key, reqs := range pending {
-		if len(reqs) > 0 && !now.Before(reqs[0].enq.Add(p.maxWait())) {
-			p.flushGroup(pending, key)
+// drained reports that both queues are closed and emptied and nothing
+// is held: Close's drain is complete on the dispatcher's side.
+func (d *dispatcher) drained() bool {
+	for c := range d.lanes {
+		if l := &d.lanes[c]; l.queue != nil || l.held > 0 {
+			return false
 		}
 	}
+	return true
 }
 
-// flushGroup hands a pending group to a replica, dropping requests whose
-// context has already expired. The send blocks when all replicas are
-// busy — that stall is the backpressure that fills the bounded queue.
-func (p *Pool) flushGroup(pending map[string][]*request, key string) {
-	reqs := pending[key]
-	delete(pending, key)
+// assign hands ready groups to idle replicas until one runs out. It
+// returns how long until the earliest held group becomes ready (0 when
+// none is held or no replica could take it).
+func (d *dispatcher) assign(now time.Time) time.Duration {
+	for d.idle > 0 {
+		c, gi, hold := d.pick(now)
+		if gi < 0 {
+			return hold
+		}
+		d.send(c, gi)
+	}
+	return 0
+}
+
+// pick returns the group an idle replica takes next: the oldest ready
+// interactive group, else the oldest ready bulk group while bulk is
+// under its replica cap. A group is ready when it is full, its oldest
+// request has waited MaxWait (0 by default: always), or its lane is
+// closed. With nothing ready, gi is -1 and hold is the time until the
+// earliest eligible group becomes ready (0 when there is none).
+func (d *dispatcher) pick(now time.Time) (c, gi int, hold time.Duration) {
+	mb, wait := d.p.maxBatch(), d.p.maxWait()
+	for c := range d.lanes {
+		if c == classBulk && d.bulkBusy >= d.bulkCap {
+			break
+		}
+		l := &d.lanes[c]
+		best := -1
+		for i := range l.groups {
+			g := &l.groups[i]
+			left := wait - now.Sub(g.reqs[0].enq)
+			if len(g.reqs) < mb && left > 0 && l.queue != nil {
+				if hold == 0 || left < hold {
+					hold = left
+				}
+				continue
+			}
+			if best < 0 || g.reqs[0].enq.Before(l.groups[best].reqs[0].enq) {
+				best = i
+			}
+		}
+		if best >= 0 {
+			return c, best, 0
+		}
+	}
+	return 0, -1, hold
+}
+
+// send hands up to MaxBatch clips of lane c's group gi to an idle
+// replica, dropping requests whose context has already ended. A job is
+// sent only for an idle replica, so it never waits behind a busy one.
+func (d *dispatcher) send(c, gi int) {
+	p := d.p
+	l := &d.lanes[c]
+	g := &l.groups[gi]
+	reqs := g.reqs
+	if mb := p.maxBatch(); len(reqs) > mb {
+		// A retune lowered MaxBatch below the group: the remainder stays
+		// held. The two slices share a backing array but not elements.
+		reqs, g.reqs = reqs[:mb:mb], reqs[mb:]
+	} else {
+		last := len(l.groups) - 1
+		copy(l.groups[gi:], l.groups[gi+1:])
+		l.groups[last] = group{}
+		l.groups = l.groups[:last]
+	}
+	l.held -= len(reqs)
+	p.held[c].Store(int64(l.held))
 	live := reqs[:0]
 	for _, r := range reqs {
 		if r.ctx.Err() != nil {
@@ -599,11 +779,18 @@ func (p *Pool) flushGroup(pending map[string][]*request, key string) {
 			p.tel.Emit(telemetry.Event{Kind: telemetry.EvBatchFormed, Req: r.id, At: now, Batch: len(live)})
 		}
 	}
-	p.work <- &job{reqs: live}
+	d.idle--
+	bulk := c == classBulk
+	if bulk {
+		d.bulkBusy++
+		p.stats.setBusyBulk(d.bulkBusy)
+	}
+	p.work <- &job{reqs: live, bulk: bulk}
 }
 
 // runWorkers starts one goroutine per replica and closes workersDone when
-// the last one drains.
+// the last one drains. A worker reports back through freed after every
+// batch; freed holds one slot per replica, so that send never blocks.
 func (p *Pool) runWorkers(replicas []*replica) {
 	done := make(chan struct{}, len(replicas))
 	for id, rep := range replicas {
@@ -611,6 +798,7 @@ func (p *Pool) runWorkers(replicas []*replica) {
 			defer func() { done <- struct{}{} }()
 			for j := range p.work {
 				p.runBatch(id, rep, j)
+				p.freed <- j.bulk
 			}
 		}(id, rep)
 	}
@@ -689,7 +877,7 @@ func (p *Pool) runBatch(id int, rep *replica, j *job) {
 	for i, r := range j.reqs {
 		lats[i] = now.Sub(r.enq)
 	}
-	p.stats.record(id, n, lats, j.reqs[0].path)
+	p.stats.record(id, n, lats, j.reqs[0].path, j.bulk)
 	if p.dyn != nil {
 		p.stats.setDynamicRates(p.dyn.ExitStats.Rate(), p.dyn.Stats.Rate())
 	}
@@ -738,18 +926,4 @@ func (p *Pool) safeDetect(rep *replica, x *tensor.Tensor, hook model.LayerHook, 
 		return nil, fmt.Errorf("batcher: detector returned %d results for batch of %d", len(dets), x.Dim(0))
 	}
 	return dets, nil
-}
-
-func shapeKey(x *tensor.Tensor) string {
-	return fmt.Sprintf("%dx%dx%d", x.Dim(1), x.Dim(2), x.Dim(3))
-}
-
-// batchKey groups requests that may share a forward pass: same shape
-// and, under dynamic routing, the same precision path.
-func batchKey(req *request) string {
-	key := shapeKey(req.x)
-	if req.path != "" {
-		key += "|" + string(req.path)
-	}
-	return key
 }

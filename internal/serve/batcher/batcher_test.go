@@ -121,11 +121,12 @@ func TestQueueOverflow(t *testing.T) {
 	unblock := func() { once.Do(func() { close(block) }) }
 	defer unblock()
 
-	// Capacity while the single replica is blocked: 1 in the worker, 1 in
-	// the work buffer, 1 held by the stalled dispatcher, 2 in the queue.
+	// Capacity while the single replica is blocked: 1 in the worker, 1
+	// held by the dispatcher (it holds at most MaxBatch per class), 2 in
+	// the queue. No batch waits in a buffer ahead of the busy replica.
 	// Submissions are paced so the dispatcher keeps up and none of these
-	// five sees a transiently full queue (Submit is fail-fast by design).
-	const inFlight = 5
+	// four sees a transiently full queue (Submit is fail-fast by design).
+	const inFlight = 4
 	var wg sync.WaitGroup
 	for i := 0; i < inFlight; i++ {
 		wg.Add(1)

@@ -14,8 +14,10 @@ import (
 // telemetry registry* — the same counters and histograms /v1/metrics
 // exports — so the two endpoints cannot drift.
 type Stats struct {
-	Replicas      int    `json:"replicas"`
-	MaxBatch      int    `json:"max_batch"`
+	Replicas int `json:"replicas"`
+	MaxBatch int `json:"max_batch"`
+	// QueueCapacity is each class queue's capacity; QueueDepth counts
+	// requests waiting in both queues.
 	QueueCapacity int    `json:"queue_capacity"`
 	QueueDepth    int    `json:"queue_depth"`
 	Precision     string `json:"precision"`
@@ -37,6 +39,13 @@ type Stats struct {
 	// PerReplica counts clips served by each replica.
 	PerReplica []uint64 `json:"per_replica_served"`
 
+	// Interactive and Bulk split the served clips, batches and queue
+	// depth by request class (see WithBulk); BusyBulkReplicas is the
+	// number of replicas running a bulk batch right now.
+	Interactive      ClassStats `json:"interactive"`
+	Bulk             ClassStats `json:"bulk"`
+	BusyBulkReplicas int        `json:"busy_bulk_replicas"`
+
 	// Latency quantiles (milliseconds) estimated from the
 	// drainnet_request_latency_seconds histogram, measured enqueue →
 	// result delivery.
@@ -57,6 +66,16 @@ type Stats struct {
 	RoutedFP32     uint64  `json:"routed_fp32,omitempty"`
 }
 
+// ClassStats is one request class's share of the pool's work. Held
+// counts requests the dispatcher has taken off the class's queue and
+// holds in groups until a replica takes them (at most MaxBatch).
+type ClassStats struct {
+	Served     uint64 `json:"served"`
+	Batches    uint64 `json:"batches"`
+	QueueDepth int    `json:"queue_depth"`
+	Held       int    `json:"held"`
+}
+
 // statsAccum records pool activity straight into telemetry registry
 // metrics. Counts are recorded synchronously on the serving path (so a
 // Stats snapshot taken after Submit returns is exact); the hot path
@@ -73,6 +92,11 @@ type statsAccum struct {
 	effMaxBatch *telemetry.Gauge
 	effMaxWait  *telemetry.Gauge
 	perReplica  []*telemetry.Counter
+
+	// Per-class series, indexed by classInteractive/classBulk.
+	classServed  [numClasses]*telemetry.Counter
+	classBatches [numClasses]*telemetry.Counter
+	busyBulk     *telemetry.Gauge
 
 	// Dynamic-path metrics (nil when Options.Dynamic is off). latInt8 is
 	// the int8-path child of the same precision-labeled latency
@@ -130,6 +154,17 @@ func newStatsAccum(opts Options) *statsAccum {
 	for i := range s.perReplica {
 		s.perReplica[i] = vec.With(strconv.Itoa(i))
 	}
+	classNames := [numClasses]string{classInteractive: "interactive", classBulk: "bulk"}
+	servedVec := reg.CounterVec("drainnet_class_served_total",
+		"Clips served, by request class (interactive, bulk).", "class")
+	batchesVec := reg.CounterVec("drainnet_class_batches_total",
+		"Forward passes executed, by request class (interactive, bulk).", "class")
+	for c, name := range classNames {
+		s.classServed[c] = servedVec.With(name)
+		s.classBatches[c] = batchesVec.With(name)
+	}
+	s.busyBulk = reg.Gauge("drainnet_busy_bulk_replicas",
+		"Replicas running a bulk batch (at most max(1, replicas-1)).")
 	if opts.Dynamic != nil {
 		s.dynamic = true
 		routed := reg.CounterVec("drainnet_routed_total",
@@ -151,6 +186,8 @@ func (s *statsAccum) cancel() { s.canceled.Inc() }
 
 func (s *statsAccum) setQueueDepth(n int) { s.queueDepth.Set(float64(n)) }
 
+func (s *statsAccum) setBusyBulk(n int) { s.busyBulk.Set(float64(n)) }
+
 // retune records one applied retune and publishes the resolved knobs as
 // gauges, so the router's scrape and a dashboard read the same setting.
 func (s *statsAccum) retune(maxBatch int, maxWait time.Duration) {
@@ -165,10 +202,16 @@ func (s *statsAccum) setTuning(maxBatch int, maxWait time.Duration) {
 
 // record logs one completed batch of n clips on the given replica.
 // Under dynamic routing the batch's latencies land in its path's
-// histogram child; everything else stays aggregate.
-func (s *statsAccum) record(replica, n int, lats []time.Duration, path model.Precision) {
+// histogram child; everything else but the class counts stays aggregate.
+func (s *statsAccum) record(replica, n int, lats []time.Duration, path model.Precision, bulk bool) {
 	s.served.Add(uint64(n))
 	s.batches.Inc()
+	c := classInteractive
+	if bulk {
+		c = classBulk
+	}
+	s.classServed[c].Add(uint64(n))
+	s.classBatches[c].Inc()
 	s.batchSize.Observe(float64(n))
 	if replica >= 0 && replica < len(s.perReplica) {
 		s.perReplica[replica].Add(uint64(n))
@@ -205,7 +248,8 @@ func (s *statsAccum) setDynamicRates(exit, mask float64) {
 	}
 }
 
-func (s *statsAccum) snapshot(queueDepth int) Stats {
+func (s *statsAccum) snapshot(interactiveDepth, bulkDepth int) Stats {
+	queueDepth := interactiveDepth + bulkDepth
 	s.queueDepth.Set(float64(queueDepth))
 	st := Stats{
 		Replicas:      s.replicas,
@@ -219,6 +263,17 @@ func (s *statsAccum) snapshot(queueDepth int) Stats {
 		Batches:       s.batches.Value(),
 		BatchSizes:    make([]uint64, s.maxBatch),
 		PerReplica:    make([]uint64, len(s.perReplica)),
+		Interactive: ClassStats{
+			Served:     s.classServed[classInteractive].Value(),
+			Batches:    s.classBatches[classInteractive].Value(),
+			QueueDepth: interactiveDepth,
+		},
+		Bulk: ClassStats{
+			Served:     s.classServed[classBulk].Value(),
+			Batches:    s.classBatches[classBulk].Value(),
+			QueueDepth: bulkDepth,
+		},
+		BusyBulkReplicas: int(s.busyBulk.Value()),
 	}
 	// Bucket bounds are exactly 1..MaxBatch, so per-bucket counts are
 	// exact per-size counts (batch sizes are integers).

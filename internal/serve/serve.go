@@ -27,9 +27,10 @@
 // {"error":{"code":"...","message":"..."}}.
 //
 // Inference runs on a batched multi-replica pool (internal/serve/batcher):
-// concurrent requests are coalesced into batches sized by the §6.4
-// efficiency curve and dispatched across independent network replicas.
-// Sweep jobs (internal/sweep) stream their candidate clips through the
+// an idle replica takes pending requests at once, and requests that queue
+// while every replica is busy are coalesced into shared batches. Requests
+// tagged with ClassHeader: bulk ride the pool's bulk lane, as do sweep
+// jobs (internal/sweep), which stream their candidate clips through the
 // same pool and survive graceful drains via on-disk checkpoints.
 //
 // Every request flows through internal/telemetry: handlers and the pool
@@ -47,6 +48,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -568,6 +570,20 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write([]byte("}\n"))
 }
 
+// ClassHeader tags a request's priority class; the value "bulk"
+// (case-insensitive) submits /v1/detect and /v1/detect/batch clips on
+// the pool's bulk lane. The cluster router classifies on the same header.
+const ClassHeader = "X-Drainnet-Class"
+
+// requestContext is the pool submission context for r: bulk-tagged
+// requests ride the bulk lane.
+func requestContext(r *http.Request) context.Context {
+	if strings.EqualFold(r.Header.Get(ClassHeader), "bulk") {
+		return batcher.WithBulk(r.Context())
+	}
+	return r.Context()
+}
+
 func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 	id := s.tel.NextRequestID()
 	s.tel.Emit(telemetry.Event{Kind: telemetry.EvAccepted, Req: id, At: time.Now()})
@@ -583,7 +599,7 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 		writeError(w, e)
 		return
 	}
-	resp, e := s.infer(telemetry.WithRequestID(r.Context(), id), &req)
+	resp, e := s.infer(telemetry.WithRequestID(requestContext(r), id), &req)
 	if e != nil {
 		writeError(w, e)
 		return
@@ -613,6 +629,7 @@ func (s *Server) handleDetectBatch(w http.ResponseWriter, r *http.Request) {
 	// whole batch response is serialized.
 	items := make([]BatchItem, len(reqs))
 	ids := make([]uint64, len(reqs))
+	ctx := requestContext(r)
 	var wg sync.WaitGroup
 	for i := range reqs {
 		if e := s.validate(&reqs[i]); e != nil {
@@ -624,7 +641,7 @@ func (s *Server) handleDetectBatch(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resp, e := s.infer(telemetry.WithRequestID(r.Context(), ids[i]), &reqs[i])
+			resp, e := s.infer(telemetry.WithRequestID(ctx, ids[i]), &reqs[i])
 			if e != nil {
 				items[i].Error = &ErrorBody{Code: e.Code, Message: fmt.Sprintf("item %d: %s", i, e.Message)}
 				return

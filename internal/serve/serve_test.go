@@ -410,3 +410,67 @@ func TestUnknownRouteEnvelope(t *testing.T) {
 		t.Fatalf("code %q, want %q", env.Error.Code, CodeNotFound)
 	}
 }
+
+// A request tagged X-Drainnet-Class: bulk rides the pool's bulk lane on
+// both detect routes; untagged requests stay interactive. /v1/stats and
+// /v1/metrics report the split.
+func TestClassHeaderSelectsBulkLane(t *testing.T) {
+	s := testServer(t)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	post := func(path string, v interface{}, class string) {
+		t.Helper()
+		body, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req, err := http.NewRequest(http.MethodPost, ts.URL+path, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if class != "" {
+			req.Header.Set(ClassHeader, class)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s %s: status %d", class, path, resp.StatusCode)
+		}
+	}
+	post("/v1/detect", validDetectRequest(), "bulk")
+	post("/v1/detect", validDetectRequest(), "")
+	post("/v1/detect/batch", BatchRequest{Items: []DetectRequest{validDetectRequest(), validDetectRequest()}}, "Bulk")
+
+	resp, err := http.Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st struct {
+		Served      uint64 `json:"served"`
+		Interactive struct {
+			Served uint64 `json:"served"`
+		} `json:"interactive"`
+		Bulk struct {
+			Served uint64 `json:"served"`
+		} `json:"bulk"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Served != 4 || st.Bulk.Served != 3 || st.Interactive.Served != 1 {
+		t.Fatalf("served %d (interactive %d, bulk %d), want 4 (1, 3)", st.Served, st.Interactive.Served, st.Bulk.Served)
+	}
+	found := false
+	for _, pt := range s.Telemetry().Registry().Snapshot() {
+		if pt.Name == "drainnet_class_served_total" && pt.Labels["class"] == "bulk" {
+			found = pt.Value == 3
+		}
+	}
+	if !found {
+		t.Fatal(`drainnet_class_served_total{class="bulk"} != 3`)
+	}
+}

@@ -287,7 +287,10 @@ type Counters struct {
 }
 
 func newJob(m *Manager, id string, spec Spec) *Job {
-	ctx, cancel := context.WithCancelCause(context.Background())
+	// Every clip the job submits rides the pool's bulk lane, so sweeps
+	// never share a batch with, or take the last replica from,
+	// interactive detects.
+	ctx, cancel := context.WithCancelCause(batcher.WithBulk(context.Background()))
 	return &Job{
 		m: m, id: id, spec: spec,
 		ctx: ctx, cancel: cancel, done: make(chan struct{}),

@@ -591,3 +591,38 @@ func TestScoreScenario(t *testing.T) {
 		t.Fatalf("empty hits: %+v", s)
 	}
 }
+
+// bulkProbe counts submissions whose context is not marked bulk.
+type bulkProbe struct {
+	Submitter
+	interactive atomic.Int64
+}
+
+func (b *bulkProbe) Submit(ctx context.Context, x *tensor.Tensor) (metrics.Detection, error) {
+	if !batcher.IsBulk(ctx) {
+		b.interactive.Add(1)
+	}
+	return b.Submitter.Submit(ctx, x)
+}
+
+// Sweep clips must ride the serving pool's bulk lane.
+func TestJobSubmitsOnBulkLane(t *testing.T) {
+	spec := testSpec()
+	o := newOracle(t, spec)
+	probe := &bulkProbe{Submitter: o}
+	m := newTestManager(t, probe, "")
+	defer m.Close()
+	j, err := m.Start(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitDone(t, j); st.State != StateDone {
+		t.Fatalf("state = %q, error = %q", st.State, st.Error)
+	}
+	if o.calls.Load() == 0 {
+		t.Fatal("job submitted nothing")
+	}
+	if n := probe.interactive.Load(); n != 0 {
+		t.Fatalf("%d of %d submissions were not bulk-tagged", n, o.calls.Load())
+	}
+}

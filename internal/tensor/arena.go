@@ -1,5 +1,7 @@
 package tensor
 
+import "reflect"
+
 // Arena is a grow-only scratch allocator for inference temporaries.
 // Get hands out tensors backed by reusable buffers; Reset recycles every
 // tensor handed out since the previous Reset without freeing anything.
@@ -23,6 +25,9 @@ type Arena struct {
 	i8next   int
 	i64slots [][]int64
 	i64next  int
+
+	// scratch holds one reusable value per type for Scratch.
+	scratch map[reflect.Type]any
 }
 
 // NewArena creates an empty arena.
@@ -128,6 +133,24 @@ func (a *Arena) Int64(n int) []int64 {
 	}
 	a.i64next++
 	return s[:n]
+}
+
+// Scratch returns the arena's reusable *T, allocating it on first use.
+// Kernels build their per-call dispatch descriptors here rather than on
+// the layer, so one module can run concurrently on many arenas (Infer is
+// reentrant). A caller must be done with the value before it asks for
+// the same T again; Reset does not clear it.
+func Scratch[T any](a *Arena) *T {
+	k := reflect.TypeFor[T]()
+	if v, ok := a.scratch[k]; ok {
+		return v.(*T)
+	}
+	v := new(T)
+	if a.scratch == nil {
+		a.scratch = make(map[reflect.Type]any)
+	}
+	a.scratch[k] = v
+	return v
 }
 
 func (a *Arena) slot() *Tensor {
