@@ -438,7 +438,8 @@ func QuantizeGated(net *Network, ds *Dataset, opts QuantOptions) (*QuantDecision
 // ---- Serving (versioned /v1 HTTP API, batched multi-replica pool) ----
 
 // ReplicaPool coalesces single-clip requests into batches and runs them
-// across independent network replicas (each owning its layer caches).
+// on concurrent replicas of one shared network (each replica owns only
+// its scratch arena).
 type ReplicaPool = batcher.Pool
 
 // PoolOptions tunes the pool: replica count, max batch, max wait (the
@@ -449,9 +450,9 @@ type PoolOptions = batcher.Options
 // histogram, latency quantiles, per-replica load.
 type PoolStats = batcher.Stats
 
-// NewReplicaPool builds a pool of opts.Replicas copies of net, which must
-// have been built from cfg. Submit clips with ReplicaPool.Submit; drain
-// with Close.
+// NewReplicaPool builds a pool of opts.Replicas replicas that all run
+// net, which must have been built from cfg. Submit clips with
+// ReplicaPool.Submit; drain with Close.
 func NewReplicaPool(cfg ModelConfig, net *Network, opts PoolOptions) (*ReplicaPool, error) {
 	return batcher.New(cfg, net, opts)
 }

@@ -153,7 +153,7 @@ func runMeasured(cfg model.Config, g *graph.Graph, sweep []int, show bool, cache
 	if err != nil {
 		fatal(err)
 	}
-	nn.PrepareInference(net)
+	nn.PrepareInferenceParallel(net)
 	prog, err := nn.CompileGraph(net, g)
 	if err != nil {
 		fatal(err)

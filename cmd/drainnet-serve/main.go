@@ -293,8 +293,8 @@ func main() {
 	}
 
 	// One-time weight packing (im2col panels, winograd transforms, NCHWc
-	// blocks, int8 quantization) for replica 0, parallelized across
-	// layers; batcher clones share the packed weights.
+	// blocks, int8 quantization), parallelized across layers, of the one
+	// network every batcher replica runs.
 	packStart := time.Now()
 	nn.PrepareInferenceParallel(net)
 	packMS := float64(time.Since(packStart)) / float64(time.Millisecond)

@@ -117,7 +117,7 @@ func DynamicBench(outPath string) (*DynamicBenchResult, error) {
 	if _, err := train.Fit(net, trainDS, opt); err != nil {
 		return nil, err
 	}
-	nn.PrepareInference(net)
+	nn.PrepareInferenceParallel(net)
 
 	// Static baseline: the accuracy-gated int8 decision plus the
 	// autotuned per-layer kernel mix, exactly the stack PR 8 serves.
@@ -157,11 +157,7 @@ func DynamicBench(outPath string) (*DynamicBenchResult, error) {
 	exec := model.NewDynamicExec(dynNet, plan)
 	var execI8 *model.DynamicExec
 	if plan.RouterEnabled && qnet != nil {
-		i8m, err := nn.CloneShared(qnet)
-		if err != nil {
-			return nil, err
-		}
-		execI8 = model.NewDynamicExec(i8m.(*nn.Sequential), plan)
+		execI8 = model.NewDynamicExec(qnet, plan)
 	}
 
 	run := DynamicBenchRun{
@@ -202,7 +198,7 @@ func DynamicBench(outPath string) (*DynamicBenchResult, error) {
 		dynRow := timeTrafficPass(scenario, "dynamic", clips, positives, func(a *tensor.Arena, dets []metrics.Detection) []metrics.Detection {
 			for _, x := range batches {
 				a.Reset()
-				dets = exec.InferDetect(x, a, dets)
+				dets = exec.InferDetect(x, a, dets, nil)
 			}
 			return dets
 		})
@@ -221,11 +217,11 @@ func DynamicBench(outPath string) (*DynamicBenchResult, error) {
 			routedRow := timeTrafficPass(scenario, "dynamic-routed", clips, positives, func(a *tensor.Arena, dets []metrics.Detection) []metrics.Detection {
 				for _, x := range fp32Batches {
 					a.Reset()
-					dets = exec.InferDetect(x, a, dets)
+					dets = exec.InferDetect(x, a, dets, nil)
 				}
 				for _, x := range i8Batches {
 					a.Reset()
-					dets = execI8.InferDetect(x, a, dets)
+					dets = execI8.InferDetect(x, a, dets, nil)
 				}
 				return dets
 			})

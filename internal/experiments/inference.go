@@ -92,7 +92,7 @@ func InferenceBench(outPath string) (*InferenceBenchResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	nn.PrepareInference(net)
+	nn.PrepareInferenceParallel(net)
 
 	// Quantize through the same accuracy gate serving uses, on a
 	// synthetic held-out split matching the bench input shape, and record

@@ -157,7 +157,7 @@ func IOSBench(outPath string) (*IOSBenchResult, error) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					arena.Reset()
-					dets = model.InferDetectScheduled(exec, x, arena, dets)
+					dets = model.InferDetectScheduled(exec, x, arena, dets, nil)
 				}
 			})
 			schedRow := iosRow("scheduled", precision, batch, schedBench, sched)

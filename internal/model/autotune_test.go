@@ -164,7 +164,7 @@ func TestTunedInferSteadyStateZeroAlloc(t *testing.T) {
 		}
 		c.SetKernels(nn.KernelDirect, bn)
 	}
-	nn.PrepareInference(net)
+	nn.PrepareInferenceParallel(net)
 	rng := rand.New(rand.NewSource(25))
 	x1 := randClip(rng, 1, 4, 40)
 	xN := randClip(rng, 4, 4, 40)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"time"
 
 	"drainnet/internal/metrics"
 	"drainnet/internal/nn"
@@ -18,42 +17,31 @@ func Detect(net *nn.Sequential, x *tensor.Tensor) []metrics.Detection {
 	return decodeHead(net.Forward(x))
 }
 
-// LayerHook observes one layer of a timed forward pass: the layer's
-// index in the Sequential, its name, and its wall-clock forward time.
-type LayerHook func(index int, layer string, d time.Duration)
-
-// DetectWithHook is Detect with per-layer timing: each module's Forward
-// is timed individually and reported through hook before the head is
-// decoded. A nil hook degrades to Detect. The telemetry span pipeline
-// uses this on trace-sampled requests.
-func DetectWithHook(net *nn.Sequential, x *tensor.Tensor, hook LayerHook) []metrics.Detection {
-	if hook == nil {
-		return Detect(net, x)
-	}
-	out := x
-	for i, m := range net.Modules() {
-		start := time.Now()
-		out = m.Forward(out)
-		hook(i, LayerName(m), time.Since(start))
-	}
-	return decodeHead(out)
-}
-
 // InferDetect is the serving fast path: the network runs in inference
 // mode (no gradient caches, packed weights, fused epilogues) with all
 // temporaries drawn from the caller's arena, and the decoded detections
 // are appended to dst (reusing its backing array). The caller must Reset
 // the arena between batches; with a warm arena and cap(dst) ≥ batch size
 // the whole call performs zero heap allocations. Results are bit-for-bit
-// identical to Detect.
+// identical to Detect. net may serve many goroutines at once, each with
+// its own arena.
 func InferDetect(net *nn.Sequential, x *tensor.Tensor, a *tensor.Arena, dst []metrics.Detection) []metrics.Detection {
-	return decodeHeadInto(net.Infer(x, a), dst)
+	return InferDetectHook(net, x, a, dst, nil)
+}
+
+// InferDetectHook is InferDetect with each module timed through hook
+// (nil is InferDetect). The trace-sampled serving path uses it, so a
+// traced batch is timed on exactly the path that serves it.
+func InferDetectHook(net *nn.Sequential, x *tensor.Tensor, a *tensor.Arena, dst []metrics.Detection, hook nn.LayerHook) []metrics.Detection {
+	return decodeHeadInto(net.InferRange(x, a, 0, len(net.Modules()), hook), dst)
 }
 
 // LayerName names a module for telemetry: its concrete type without the
-// package qualifier (Conv2D, MaxPool2D, SPP, Linear, ...).
+// package qualifier (Conv2D, MaxPool2D, SPP, Linear, ...). Quantized
+// wrappers report their fp32 base kind, so int8 layers read Conv2D and
+// Linear too.
 func LayerName(m nn.Module) string {
-	return strings.TrimPrefix(fmt.Sprintf("%T", m), "*nn.")
+	return strings.TrimPrefix(fmt.Sprintf("%T", nn.Unwrap(m)), "*nn.")
 }
 
 func decodeHead(out *tensor.Tensor) []metrics.Detection {

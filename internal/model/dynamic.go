@@ -21,8 +21,8 @@ import (
 //     stack output) lets confident negatives skip the SPP+FC tail;
 //   - spatial masking (nn.KernelMasked) skips im2col+GEMM on low-energy
 //     output-row bands of every conv after the first;
-//   - a difficulty router assigns easy clips to the int8 replica path
-//     and hard clips to fp32 when precision "auto" is enabled.
+//   - a difficulty router assigns easy clips to the int8 path and hard
+//     clips to fp32 when precision "auto" is enabled.
 //
 // All three are efficiency moves under the paper's selection rule
 // "maximize e(n) subject to a(n) > A": PlanDynamic evaluates the
@@ -213,9 +213,10 @@ func (p *DynamicPlan) Enabled() bool {
 }
 
 // Apply configures net for the plan: every conv after the first gets
-// the calibrated mask spec and the masked kernel. Call on the serving
-// network before replicas are cloned — cloneShared carries the mask
-// spec and the shared stats. A plan without masking applies nothing.
+// the calibrated mask spec and the masked kernel, packed on the spot.
+// Call on the serving network before it serves; every replica shares
+// that network and so masks into the plan's shared counters. A plan
+// without masking applies nothing.
 func (p *DynamicPlan) Apply(net *nn.Sequential) {
 	if p == nil || !p.MaskEnabled {
 		return
@@ -255,26 +256,29 @@ func SPPIndex(net *nn.Sequential) (int, error) {
 	return 0, fmt.Errorf("model: network has no SPP layer; dynamic inference needs the conv/tail seam")
 }
 
-// DynamicExec executes the dynamic path for one serving replica. It
-// owns grow-only scratch (logits, survivor index, decode buffers), so
-// steady-state InferDetect performs no heap allocation; one exec must
-// not be shared across goroutines. The replica network may be fp32 or
-// int8 — the exit probe reads whichever features the replica computes.
+// DynamicExec executes the dynamic path over one network, fp32 or int8
+// — the exit probe reads whichever features that network computes. Its
+// per-call scratch (probe logits, survivor index) lives in the caller's
+// arena, so one exec serves any number of goroutines at once, each with
+// its own arena, and steady-state InferDetect performs no heap
+// allocation.
 type DynamicExec struct {
-	net    *nn.Sequential
-	plan   *DynamicPlan
-	nMods  int
+	net   *nn.Sequential
+	plan  *DynamicPlan
+	nMods int
+}
+
+// exitScratch is DynamicExec's per-call scratch, drawn from the
+// caller's arena with tensor.Scratch.
+type exitScratch struct {
 	logits []float32
 	keep   []int
 }
 
-// NewDynamicExec binds a plan to one replica network.
+// NewDynamicExec binds a plan to a network.
 func NewDynamicExec(net *nn.Sequential, plan *DynamicPlan) *DynamicExec {
 	return &DynamicExec{net: net, plan: plan, nMods: len(net.Modules())}
 }
-
-// Net returns the replica network the exec runs.
-func (e *DynamicExec) Net() *nn.Sequential { return e.net }
 
 // InferDetect is the dynamic counterpart of model.InferDetect. With the
 // early exit disabled it delegates wholesale (bit-for-bit identical to
@@ -284,24 +288,25 @@ func (e *DynamicExec) Net() *nn.Sequential { return e.net }
 // negatives, and only survivors — compacted into an arena sub-batch —
 // pay for the SPP+FC tail. A batch with no exits runs the tail on the
 // prefix output directly and stays bit-identical to the static path.
-func (e *DynamicExec) InferDetect(x *tensor.Tensor, a *tensor.Arena, dst []metrics.Detection) []metrics.Detection {
+// A non-nil hook times every module that runs (the trace-sampled
+// serving path); a batch whose samples all exit reports no tail slices.
+func (e *DynamicExec) InferDetect(x *tensor.Tensor, a *tensor.Arena, dst []metrics.Detection, hook nn.LayerHook) []metrics.Detection {
 	if e.plan == nil || !e.plan.ExitEnabled {
-		return InferDetect(e.net, x, a, dst)
+		return InferDetectHook(e.net, x, a, dst, hook)
 	}
 	n := x.Dim(0)
-	mid := e.net.InferRange(x, a, 0, e.plan.SPPIndex)
+	mid := e.net.InferRange(x, a, 0, e.plan.SPPIndex, hook)
 	c, hw := mid.Dim(1), mid.Dim(2)*mid.Dim(3)
 	stride := c * hw
 	data := mid.Data()
 
-	if cap(e.logits) < n {
-		e.logits = make([]float32, n)
+	sc := tensor.Scratch[exitScratch](a)
+	if cap(sc.logits) < n {
+		sc.logits = make([]float32, n)
+		sc.keep = make([]int, 0, n)
 	}
-	if cap(e.keep) < n {
-		e.keep = make([]int, 0, n)
-	}
-	logits := e.logits[:n]
-	keep := e.keep[:0]
+	logits := sc.logits[:n]
+	keep := sc.keep[:0]
 	h := e.plan.Exit
 	for i := 0; i < n; i++ {
 		logits[i] = h.Logit(data[i*stride:(i+1)*stride], c, hw)
@@ -309,11 +314,10 @@ func (e *DynamicExec) InferDetect(x *tensor.Tensor, a *tensor.Arena, dst []metri
 			keep = append(keep, i)
 		}
 	}
-	e.keep = keep
 	e.plan.ExitStats.Add(int64(n-len(keep)), int64(n))
 
 	if len(keep) == n {
-		out := e.net.InferRange(mid, a, e.plan.SPPIndex, e.nMods)
+		out := e.net.InferRange(mid, a, e.plan.SPPIndex, e.nMods, hook)
 		return decodeHeadInto(out, dst)
 	}
 
@@ -333,7 +337,7 @@ func (e *DynamicExec) InferDetect(x *tensor.Tensor, a *tensor.Arena, dst []metri
 		for j, i := range keep {
 			copy(sd[j*stride:(j+1)*stride], data[i*stride:(i+1)*stride])
 		}
-		out := e.net.InferRange(sub, a, e.plan.SPPIndex, e.nMods)
+		out := e.net.InferRange(sub, a, e.plan.SPPIndex, e.nMods, hook)
 		ostride := out.Dim(1)
 		od := out.Data()
 		for j, i := range keep {
@@ -458,8 +462,8 @@ func PlanDynamic(net *nn.Sequential, calib *terrain.Dataset, opts DynamicOptions
 	plan.ExitStats.Reset()
 	plan.Stats.Reset()
 
-	// The router only matters when an int8 replica set exists, and that
-	// path must have cleared its own accuracy gate.
+	// The router only matters when an int8 network serves beside fp32,
+	// and that path must have cleared its own accuracy gate.
 	if !opts.DisableRouter && opts.Int8 != nil && opts.Int8.Enabled {
 		plan.Router = trainRouter(calib, opts.CalibBatch, opts.ExitEpochs)
 		plan.RouterEnabled = plan.Router != nil
@@ -467,9 +471,9 @@ func PlanDynamic(net *nn.Sequential, calib *terrain.Dataset, opts DynamicOptions
 	return plan, nil
 }
 
-// maskedClone builds an inference replica of net with the mask spec
-// applied to every conv after the first. Weights are shared; the clone
-// packs its own masked-kernel state lazily.
+// maskedClone builds a variant copy of net with the mask spec applied to
+// every conv after the first. Weights and im2col panels are shared; the
+// clone packs its own masked-kernel tables when the mask is applied.
 func maskedClone(net *nn.Sequential, band int, thresh float32, stats *nn.MaskStats) (*nn.Sequential, error) {
 	m, err := nn.CloneShared(net)
 	if err != nil {
@@ -493,7 +497,7 @@ func prefixFeatures(net *nn.Sequential, sppIdx int, ds *terrain.Dataset, batch i
 		}
 		x, targets := ds.Batch(lo, hi)
 		a.Reset()
-		mid := net.InferRange(x, a, 0, sppIdx)
+		mid := net.InferRange(x, a, 0, sppIdx, nil)
 		c, hw := mid.Dim(1), mid.Dim(2)*mid.Dim(3)
 		data := mid.Data()
 		for i := 0; i < hi-lo; i++ {
@@ -687,7 +691,7 @@ func evalAPDynamic(exec *DynamicExec, ds *terrain.Dataset, iou float64, batch in
 		}
 		x, targets := ds.Batch(lo, hi)
 		a.Reset()
-		scratch = exec.InferDetect(x, a, scratch[:0])
+		scratch = exec.InferDetect(x, a, scratch[:0], nil)
 		dets = append(dets, scratch...)
 		gts = append(gts, TargetsToGroundTruth(targets)...)
 	}

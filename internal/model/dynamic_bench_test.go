@@ -20,7 +20,7 @@ func BenchmarkDynamicEmptyTraffic(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	nn.PrepareInference(net)
+	nn.PrepareInferenceParallel(net)
 	spp, err := SPPIndex(net)
 	if err != nil {
 		b.Fatal(err)
@@ -56,7 +56,7 @@ func BenchmarkDynamicEmptyTraffic(b *testing.B) {
 	exec := NewDynamicExec(dynNet, plan)
 
 	a := tensor.NewArena()
-	dets := exec.InferDetect(x, a, nil)
+	dets := exec.InferDetect(x, a, nil, nil)
 
 	b.Run("static", func(b *testing.B) {
 		b.ReportAllocs()
@@ -69,7 +69,7 @@ func BenchmarkDynamicEmptyTraffic(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			a.Reset()
-			dets = exec.InferDetect(x, a, dets)
+			dets = exec.InferDetect(x, a, dets, nil)
 		}
 	})
 	_ = dets

@@ -76,7 +76,7 @@ func TestDynamicOffBitwiseIdentical(t *testing.T) {
 		} {
 			a2.Reset()
 			exec := NewDynamicExec(net, plan)
-			got := exec.InferDetect(x, a2, nil)
+			got := exec.InferDetect(x, a2, nil, nil)
 			if len(got) != len(want) {
 				t.Fatalf("%s n=%d: %d dets, want %d", name, n, len(got), len(want))
 			}
@@ -187,7 +187,7 @@ func TestDynamicInferSteadyStateZeroAlloc(t *testing.T) {
 		head.W[i] = 1
 	}
 	a := tensor.NewArena()
-	mid := net.InferRange(x, a, 0, spp)
+	mid := net.InferRange(x, a, 0, spp, nil)
 	c, hw := mid.Dim(1), mid.Dim(2)*mid.Dim(3)
 	head.W = head.W[:c]
 	logits := make([]float32, 16)
@@ -220,7 +220,7 @@ func TestDynamicInferSteadyStateZeroAlloc(t *testing.T) {
 	var dets []metrics.Detection
 	run := func() {
 		a.Reset()
-		dets = exec.InferDetect(x, a, dets)
+		dets = exec.InferDetect(x, a, dets, nil)
 	}
 	run()
 	run()

@@ -16,7 +16,7 @@ func inferTestNet(t testing.TB) *nn.Sequential {
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
-	nn.PrepareInference(net)
+	nn.PrepareInferenceParallel(net)
 	return net
 }
 

@@ -188,7 +188,7 @@ func TestQuantScheduledMatchesInfer(t *testing.T) {
 		a.Reset()
 		want := append([]metrics.Detection(nil), InferDetect(qnet, x, a, nil)...)
 		a.Reset()
-		got := InferDetectScheduled(tc.exec, x, a, nil)
+		got := InferDetectScheduled(tc.exec, x, a, nil, nil)
 		if len(got) != len(want) {
 			t.Fatalf("batch %d: %d detections, want %d", tc.batch, len(got), len(want))
 		}

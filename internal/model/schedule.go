@@ -43,8 +43,8 @@ func (c Config) BuildScaledGraph() (*graph.Graph, error) {
 // SchedulePlan is an IOS execution plan for serving one model: the
 // scaled operator graph plus measured-cost-optimal schedules for the two
 // batch sizes the batcher actually runs (single requests and full
-// batches). Replicas compile the plan against their own network clone
-// with CompileExecutors.
+// batches). Each serving replica compiles the plan into its own
+// executors with CompileExecutors.
 type SchedulePlan struct {
 	Config   Config
 	Graph    *graph.Graph
@@ -69,7 +69,7 @@ func OptimizeSchedules(cfg Config, net *nn.Sequential, maxBatch int, cache *ios.
 	if err != nil {
 		return nil, err
 	}
-	nn.PrepareInference(net)
+	nn.PrepareInferenceParallel(net)
 	prog, err := nn.CompileGraph(net, g)
 	if err != nil {
 		return nil, err
@@ -98,11 +98,12 @@ func OptimizeSchedules(cfg Config, net *nn.Sequential, maxBatch int, cache *ios.
 	}, nil
 }
 
-// CompileExecutors binds the plan to one serving replica's network
-// (which must implement the plan's config — typically a CloneShared of
-// the network the plan was optimized on) and returns executors for the
-// two planned batch regimes. When the plan has a single schedule, both
-// returns are the same executor.
+// CompileExecutors binds the plan to a network (which must implement
+// the plan's config — typically the very network the plan was optimized
+// on) and returns executors for the two planned batch regimes. An
+// executor owns its group arenas, so each serving replica compiles its
+// own pair over the one shared network. When the plan has a single
+// schedule, both returns are the same executor.
 func (p *SchedulePlan) CompileExecutors(net *nn.Sequential) (exec1, execN *nn.ScheduleExecutor, err error) {
 	prog, err := nn.CompileGraph(net, p.Graph)
 	if err != nil {
@@ -124,14 +125,9 @@ func (p *SchedulePlan) CompileExecutors(net *nn.Sequential) (exec1, execN *nn.Sc
 // the executor runs the network stage by stage (concurrent groups on
 // the shared worker pool), and the head output decodes into dst exactly
 // as InferDetect does. Output is bit-for-bit identical to InferDetect
-// and, like it, allocation-free in steady state with a warm arena.
-func InferDetectScheduled(exec *nn.ScheduleExecutor, x *tensor.Tensor, a *tensor.Arena, dst []metrics.Detection) []metrics.Detection {
-	return decodeHeadInto(exec.Infer(x, a), dst)
-}
-
-// InferDetectScheduledHook is InferDetectScheduled with per-group stage
-// timing reported through hook; the telemetry pipeline uses it on
-// trace-sampled requests.
-func InferDetectScheduledHook(exec *nn.ScheduleExecutor, x *tensor.Tensor, a *tensor.Arena, dst []metrics.Detection, hook nn.StageHook) []metrics.Detection {
+// and, like it, allocation-free in steady state with a warm arena. A
+// non-nil hook times each stage group (the trace-sampled serving path);
+// nil runs untimed.
+func InferDetectScheduled(exec *nn.ScheduleExecutor, x *tensor.Tensor, a *tensor.Arena, dst []metrics.Detection, hook nn.StageHook) []metrics.Detection {
 	return decodeHeadInto(exec.InferWithHook(x, a, hook), dst)
 }

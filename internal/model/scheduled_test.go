@@ -73,7 +73,7 @@ func TestInferDetectScheduledMatchesInferDetect(t *testing.T) {
 			exec = execN
 		}
 		a.Reset()
-		dets = InferDetectScheduled(exec, x, a, dets)
+		dets = InferDetectScheduled(exec, x, a, dets, nil)
 		if len(dets) != len(want) {
 			t.Fatalf("n=%d: got %d detections, want %d", n, len(dets), len(want))
 		}
@@ -101,7 +101,7 @@ func TestScheduledSteadyStateZeroAlloc(t *testing.T) {
 	var dets []metrics.Detection
 	run := func() {
 		a.Reset()
-		dets = InferDetectScheduled(execN, x, a, dets)
+		dets = InferDetectScheduled(execN, x, a, dets, nil)
 	}
 	run()
 	run()
@@ -137,7 +137,7 @@ func TestScheduleSerializationDrivesExecutor(t *testing.T) {
 	var dets, want []metrics.Detection
 	want = InferDetect(net, x, a, want)
 	a.Reset()
-	dets = InferDetectScheduled(exec, x, a, dets)
+	dets = InferDetectScheduled(exec, x, a, dets, nil)
 	for i := range want {
 		if dets[i] != want[i] {
 			t.Fatalf("detection %d = %+v, want %+v", i, dets[i], want[i])

@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"drainnet/internal/tensor"
 )
@@ -33,14 +34,18 @@ type Conv2D struct {
 	cols    []*tensor.Tensor // per-sample lowered input (im2col path)
 	input   *tensor.Tensor   // retained for the direct path
 
-	// inference fast path: weights packed once (shared across replicas).
-	// Per-call task descriptors live in the caller's arena
-	// (tensor.Scratch), so Infer is reentrant.
-	packed *tensor.Packed
+	// inference fast path: weight panels packed once under packOnce
+	// (by PrepareInferenceParallel, SetKernels or the first Infer) and
+	// shared with CloneShared variants. Per-call task descriptors live
+	// in the caller's arena (tensor.Scratch), so Infer writes no layer
+	// field and is reentrant.
+	packOnce sync.Once
+	packed   *tensor.Packed
 
 	// per-bucket kernel choice (autotuner-selected; im2col by default)
-	// plus the alternate weight layouts those kernels read. Packed
-	// layouts are immutable and shared across replicas.
+	// plus the alternate weight layouts those kernels read, packed by
+	// SetKernels when the choice is made. Packed layouts are immutable
+	// and shared with CloneShared variants.
 	kernB1, kernBN ConvKernel
 	wino           *tensor.Winograd
 	nchwc          *tensor.PackedNCHWc
@@ -256,7 +261,7 @@ func (c *Conv2D) backwardDirect(gradOut, gradIn *tensor.Tensor) {
 
 // prepareInference packs the weight layouts the selected kernels read
 // (panel layout for im2col, transformed/blocked layouts for the tuned
-// variants). Packed state is immutable and shared by every replica
+// variants). Packed state is immutable and shared with every variant
 // cloned from this layer.
 func (c *Conv2D) prepareInference() {
 	if c.Algo != ConvIm2Col {
@@ -267,9 +272,26 @@ func (c *Conv2D) prepareInference() {
 	c.ensureKernel(c.kernBN)
 }
 
-// cloneShared implements sharedCloner: weights, bias and packed panels
+// panels returns the im2col weight panels, packing them on first use.
+// The sync.Once makes that first pack safe when it happens inside
+// concurrent Infer calls on a never-prepared layer; every later call is
+// one atomic load.
+func (c *Conv2D) panels() *tensor.Packed {
+	c.packOnce.Do(func() {
+		if c.packed == nil {
+			c.packed = tensor.PackMatrix(c.Weight.Value.Reshape(c.OutC, c.InC*c.Geom.KH*c.Geom.KW))
+		}
+	})
+	return c.packed
+}
+
+// cloneShared implements sharedCloner: weights, bias and packed layouts
 // are shared; forward caches are fresh.
 func (c *Conv2D) cloneShared() Module {
+	var packed *tensor.Packed
+	if c.Algo == ConvIm2Col {
+		packed = c.panels()
+	}
 	return &Conv2D{
 		InC:        c.InC,
 		OutC:       c.OutC,
@@ -277,7 +299,7 @@ func (c *Conv2D) cloneShared() Module {
 		Algo:       c.Algo,
 		Weight:     c.Weight,
 		Bias:       c.Bias,
-		packed:     c.packed,
+		packed:     packed,
 		kernB1:     c.kernB1,
 		kernBN:     c.kernBN,
 		wino:       c.wino,
@@ -323,8 +345,6 @@ func (c *Conv2D) inferFused(x *tensor.Tensor, a *tensor.Arena, relu bool) *tenso
 		return out
 	}
 
-	c.prepareInference()
-
 	// Per-bucket kernel dispatch: the autotuner picks the fastest
 	// measured variant per (layer, batch bucket); im2col is the default.
 	kern := c.kernBN
@@ -348,6 +368,7 @@ func (c *Conv2D) inferFused(x *tensor.Tensor, a *tensor.Arena, relu bool) *tenso
 
 	kdim := c.InC * c.Geom.KH * c.Geom.KW
 	ohw := oh * ow
+	packed := c.panels()
 
 	if n > 1 {
 		// Multi-sample batches: each sample's lowering is consumed by its
@@ -360,7 +381,7 @@ func (c *Conv2D) inferFused(x *tensor.Tensor, a *tensor.Arena, relu bool) *tenso
 		ct.cols, ct.x, ct.out = cols.Data(), x.Data(), out.Data()
 		ct.sampleStride, ct.colStride, ct.outStride = ch*h*w, kdim*ohw, c.OutC*ohw
 		ct.c, ct.h, ct.w, ct.geom = ch, h, w, c.Geom
-		ct.packed, ct.ohw = c.packed, ohw
+		ct.packed, ct.ohw = packed, ohw
 		ct.bias, ct.relu = c.Bias.Value.Data(), relu
 		tensor.ParallelRange(n, 1, ct)
 		return out
@@ -371,10 +392,10 @@ func (c *Conv2D) inferFused(x *tensor.Tensor, a *tensor.Arena, relu bool) *tenso
 	cols := a.Get(kdim, ohw)
 	tensor.Im2ColSlice(cols.Data(), x.Data(), ch, h, w, c.Geom)
 	gt := tensor.Scratch[convGemmTask](a)
-	gt.packed = c.packed
+	gt.packed = packed
 	gt.out, gt.cols = out.Data(), cols.Data()
 	gt.outStride, gt.colStride = c.OutC*ohw, kdim*ohw
-	gt.panels, gt.ohw = c.packed.Panels(), ohw
+	gt.panels, gt.ohw = packed.Panels(), ohw
 	gt.bias, gt.relu = c.Bias.Value.Data(), relu
 	tensor.ParallelRange(gt.panels, 1, gt)
 	return out

@@ -1,9 +1,11 @@
 package nn
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"drainnet/internal/tensor"
 )
@@ -53,7 +55,7 @@ func randInput(rng *rand.Rand, shape ...int) *tensor.Tensor {
 func TestInferMatchesForwardBitExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	net := testNet(rng)
-	PrepareInference(net)
+	PrepareInferenceParallel(net)
 	a := tensor.NewArena()
 	for _, n := range []int{1, 3, 16} {
 		x := randInput(rng, n, 3, 20, 20)
@@ -83,7 +85,7 @@ func TestInferFlattenHeadMatchesForward(t *testing.T) {
 		NewFlatten(),
 		NewLinear(rng, 4*5*5, 7),
 	)
-	PrepareInference(net)
+	PrepareInferenceParallel(net)
 	a := tensor.NewArena()
 	x := randInput(rng, 2, 2, 10, 10)
 	want := net.Forward(x)
@@ -95,10 +97,14 @@ func TestInferFlattenHeadMatchesForward(t *testing.T) {
 	}
 }
 
+// CloneShared makes variant copies: the copy shares every weight
+// tensor and packed panel with the original but owns its kernel choice,
+// so retargeting the copy leaves the original untouched, and both still
+// compute the same function.
 func TestCloneSharedSharesWeightsOwnsCaches(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	net := testNet(rng)
-	PrepareInference(net)
+	PrepareInferenceParallel(net)
 	cm, err := CloneShared(net)
 	if err != nil {
 		t.Fatalf("CloneShared: %v", err)
@@ -123,29 +129,30 @@ func TestCloneSharedSharesWeightsOwnsCaches(t *testing.T) {
 		}
 	}
 
-	// The clone and the original must produce identical results, and must
-	// be safe to run concurrently (each with its own arena).
-	x := randInput(rng, 4, 3, 20, 20)
-	want := net.Forward(x)
-	var wg sync.WaitGroup
-	results := make([]*tensor.Tensor, 8)
-	for g := range results {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			a := tensor.NewArena()
-			m := net
-			if g%2 == 1 {
-				m = clone
-			}
-			results[g] = m.Infer(x, a)
-		}(g)
+	// The variant's kernel choice is its own; the packed panels are not.
+	for i, m := range clone.Modules() {
+		cc, ok := m.(*Conv2D)
+		if !ok {
+			continue
+		}
+		oc := net.Modules()[i].(*Conv2D)
+		if cc.packed == nil || cc.packed != oc.packed {
+			t.Fatalf("conv %d: clone does not share the original's packed panels", i)
+		}
+		cc.SetKernels(KernelDirect, KernelNCHWc)
+		if b1, bn := oc.Kernels(); b1 != KernelIm2Col || bn != KernelIm2Col {
+			t.Fatalf("conv %d: retargeting the clone changed the original to (%s, %s)", i, b1, bn)
+		}
 	}
-	wg.Wait()
-	for g, r := range results {
+
+	// Direct and NCHWc are exact, so the variant matches bit for bit.
+	for _, n := range []int{1, 4} {
+		x := randInput(rng, n, 3, 20, 20)
+		want := net.Infer(x, tensor.NewArena())
+		got := clone.Infer(x, tensor.NewArena())
 		for i := range want.Data() {
-			if r.Data()[i] != want.Data()[i] {
-				t.Fatalf("goroutine %d: element %d = %v, want %v", g, i, r.Data()[i], want.Data()[i])
+			if got.Data()[i] != want.Data()[i] {
+				t.Fatalf("batch %d: element %d = %v, want %v", n, i, got.Data()[i], want.Data()[i])
 			}
 		}
 	}
@@ -233,7 +240,7 @@ func TestInferReentrantAcrossKernels(t *testing.T) {
 				}
 			}
 		}
-		PrepareInference(net)
+		PrepareInferenceParallel(net)
 		nets[k.String()] = net
 	}
 	rng := rand.New(rand.NewSource(77))
@@ -270,6 +277,89 @@ func TestInferReentrantAcrossKernels(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// Infer writes no layer state, so a never-prepared module — whose first
+// calls pack the weight panels — serves 8 goroutines at once, fp32 and
+// int8 alike, and every result matches a sequential run on a prepared
+// twin bit for bit.
+func TestInferReentrantNeverPrepared(t *testing.T) {
+	nets := func(prepare bool) map[string]*Sequential {
+		rng := rand.New(rand.NewSource(79))
+		fp32 := testNet(rng)
+		cal := Calibrate(testNet(rand.New(rand.NewSource(79))), []*tensor.Tensor{randInput(rng, 4, 3, 20, 20)})
+		i8, _, err := QuantizeForInference(testNet(rand.New(rand.NewSource(79))), cal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if prepare {
+			PrepareInferenceParallel(fp32)
+			PrepareInferenceParallel(i8)
+		}
+		return map[string]*Sequential{"fp32": fp32, "int8": i8}
+	}
+	cold, warm := nets(false), nets(true)
+	for name, net := range cold {
+		for _, n := range []int{1, 3} {
+			x := randInput(rand.New(rand.NewSource(80)), n, 3, 20, 20)
+			want := warm[name].Infer(x, tensor.NewArena())
+			var wg sync.WaitGroup
+			results := make([]*tensor.Tensor, 8)
+			for g := range results {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					results[g] = net.Infer(x, tensor.NewArena())
+				}(g)
+			}
+			wg.Wait()
+			for g, r := range results {
+				for i, v := range want.Data() {
+					if r.Data()[i] != v {
+						t.Fatalf("%s batch %d goroutine %d: element %d = %v, want %v", name, n, g, i, r.Data()[i], v)
+					}
+				}
+			}
+		}
+	}
+}
+
+// A hooked InferRange reports every module once, in order — a ReLU
+// fused into the preceding conv or linear reports zero, its clamp timed
+// inside that layer — and computes exactly what the unhooked pass does.
+func TestInferRangeHookReportsFusedModules(t *testing.T) {
+	rng := rand.New(rand.NewSource(81))
+	net := testNet(rng)
+	x := randInput(rng, 2, 3, 20, 20)
+	want := net.Infer(x, tensor.NewArena())
+	var fusedReLUs []int
+	next := 0
+	got := net.InferRange(x, tensor.NewArena(), 0, len(net.Modules()), func(i int, m Module, d time.Duration) {
+		if i != next || m != net.Modules()[i] {
+			t.Errorf("hook reported module %d (%T), want module %d", i, m, next)
+		}
+		next++
+		if d < 0 {
+			t.Errorf("module %d: negative duration %v", i, d)
+		}
+		if _, ok := m.(*ReLU); ok && d == 0 {
+			fusedReLUs = append(fusedReLUs, i)
+		}
+	})
+	if next != len(net.Modules()) {
+		t.Fatalf("hook saw %d of %d modules", next, len(net.Modules()))
+	}
+	// testNet: conv, bn, relu, pool, conv, relu, spp, linear, relu, drop,
+	// linear, sigmoid. The first ReLU follows batch norm, so it runs on
+	// its own; the other two fuse into the conv and linear before them.
+	if fmt.Sprint(fusedReLUs) != "[5 8]" {
+		t.Fatalf("zero-time (fused) ReLUs at %v, want [5 8]", fusedReLUs)
+	}
+	for i := range want.Data() {
+		if got.Data()[i] != want.Data()[i] {
+			t.Fatalf("element %d: hooked %v != unhooked %v", i, got.Data()[i], want.Data()[i])
 		}
 	}
 }

@@ -120,14 +120,14 @@ func (q *QuantConv2D) InferFused(x *tensor.Tensor, a *tensor.Arena, relu bool) *
 	return q.inferFused(x, a, relu)
 }
 
-// ensureKernel packs the weight layout kernel k reads, once. Packed
-// layouts are immutable and shared by every replica cloned afterwards.
+// ensureKernel packs the weight layout kernel k reads, once. It runs
+// where the layout is chosen (SetKernels, PrepareInferenceParallel),
+// never on the Infer path; packed layouts are immutable and shared with
+// every variant cloned afterwards.
 func (c *Conv2D) ensureKernel(k ConvKernel) {
 	switch k {
 	case KernelIm2Col:
-		if c.packed == nil {
-			c.packed = tensor.PackMatrix(c.Weight.Value.Reshape(c.OutC, c.InC*c.Geom.KH*c.Geom.KW))
-		}
+		c.panels()
 	case KernelWinograd:
 		if c.wino == nil {
 			c.wino = tensor.PackWinograd(c.Weight.Value)
@@ -143,11 +143,9 @@ func (c *Conv2D) ensureKernel(k ConvKernel) {
 		// the flat response, which needs the per-(out,in)-channel kernel
 		// sums, plus a 2D prefix-sum table over kernel taps so the
 		// padding-clipped pixels can look up the sum of any in-bounds tap
-		// rectangle in O(1). All layouts are immutable and shared across
-		// replicas.
-		if c.packed == nil {
-			c.packed = tensor.PackMatrix(c.Weight.Value.Reshape(c.OutC, c.InC*c.Geom.KH*c.Geom.KW))
-		}
+		// rectangle in O(1). All layouts are immutable and shared with
+		// CloneShared variants.
+		c.panels()
 		if c.wpre == nil {
 			kw1 := c.Geom.KW + 1
 			blk := (c.Geom.KH + 1) * kw1

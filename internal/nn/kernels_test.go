@@ -38,7 +38,7 @@ func TestConvKernelDispatchParity(t *testing.T) {
 	for _, k := range ConvKernels() {
 		rng := rand.New(rand.NewSource(81))
 		ref := kernelTestNet(rng)
-		PrepareInference(ref)
+		PrepareInferenceParallel(ref)
 
 		rng = rand.New(rand.NewSource(81))
 		tuned := kernelTestNet(rng)
@@ -47,7 +47,7 @@ func TestConvKernelDispatchParity(t *testing.T) {
 				c.SetKernels(k, k)
 			}
 		}
-		PrepareInference(tuned)
+		PrepareInferenceParallel(tuned)
 
 		ra, ta := tensor.NewArena(), tensor.NewArena()
 		for _, n := range []int{1, 16} {
@@ -133,26 +133,33 @@ func TestConvKernelEligibility(t *testing.T) {
 }
 
 // PrepareInferenceParallel must leave the net in the same servable state
-// as the serial PrepareInference.
-func TestPrepareInferenceParallelMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(84))
-	serial := kernelTestNet(rng)
-	rng = rand.New(rand.NewSource(84))
-	par := kernelTestNet(rng)
-	for _, net := range []*Sequential{serial, par} {
-		for _, c := range netConvs(net) {
-			c.SetKernels(KernelNCHWc, KernelWinograd)
+// as packing on first use: a prepared net and a never-prepared twin
+// (whose first Infer packs the panels) agree bitwise, for the default
+// im2col kernels and for a tuned mix.
+func TestPrepareInferenceParallelMatchesFirstUsePacking(t *testing.T) {
+	for _, tuned := range []bool{false, true} {
+		rng := rand.New(rand.NewSource(84))
+		lazy := kernelTestNet(rng)
+		rng = rand.New(rand.NewSource(84))
+		par := kernelTestNet(rng)
+		if tuned {
+			for _, net := range []*Sequential{lazy, par} {
+				for _, c := range netConvs(net) {
+					c.SetKernels(KernelNCHWc, KernelWinograd)
+				}
+			}
 		}
-	}
-	PrepareInference(serial)
-	PrepareInferenceParallel(par)
-	x := randInput(rng, 4, 3, 16, 16)
-	a1, a2 := tensor.NewArena(), tensor.NewArena()
-	want := serial.Infer(x, a1)
-	got := par.Infer(x, a2)
-	for i := range want.Data() {
-		if want.Data()[i] != got.Data()[i] {
-			t.Fatalf("parallel-prepared net diverges at %d", i)
+		PrepareInferenceParallel(par)
+		for _, n := range []int{1, 4} {
+			x := randInput(rng, n, 3, 16, 16)
+			a1, a2 := tensor.NewArena(), tensor.NewArena()
+			want := lazy.Infer(x, a1)
+			got := par.Infer(x, a2)
+			for i := range want.Data() {
+				if want.Data()[i] != got.Data()[i] {
+					t.Fatalf("tuned=%v batch %d: parallel-prepared net diverges at %d", tuned, n, i)
+				}
+			}
 		}
 	}
 }

@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"drainnet/internal/tensor"
 )
@@ -15,8 +16,10 @@ type Linear struct {
 
 	input *tensor.Tensor
 
-	// inference fast path
-	packed *tensor.Packed
+	// inference fast path: weight panels packed once under packOnce and
+	// shared with CloneShared variants; Infer writes no layer field.
+	packOnce sync.Once
+	packed   *tensor.Packed
 }
 
 // NewLinear creates a fully-connected layer with Xavier initialization.
@@ -101,15 +104,22 @@ func (f *Flatten) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 }
 
 // prepareInference packs the weight matrix for the fast-path dot kernel.
-func (l *Linear) prepareInference() {
-	if l.packed == nil {
-		l.packed = tensor.PackMatrix(l.Weight.Value)
-	}
+func (l *Linear) prepareInference() { l.panels() }
+
+// panels returns the packed weight panels, packing them on first use
+// (safe under concurrent Infer; see Conv2D.panels).
+func (l *Linear) panels() *tensor.Packed {
+	l.packOnce.Do(func() {
+		if l.packed == nil {
+			l.packed = tensor.PackMatrix(l.Weight.Value)
+		}
+	})
+	return l.packed
 }
 
 // cloneShared implements sharedCloner.
 func (l *Linear) cloneShared() Module {
-	return &Linear{In: l.In, Out: l.Out, Weight: l.Weight, Bias: l.Bias, packed: l.packed}
+	return &Linear{In: l.In, Out: l.Out, Weight: l.Weight, Bias: l.Bias, packed: l.panels()}
 }
 
 // Infer implements Inferencer.
@@ -124,13 +134,13 @@ func (l *Linear) inferFused(x *tensor.Tensor, a *tensor.Arena, relu bool) *tenso
 	if x.Dim(1) != l.In {
 		panic(fmt.Sprintf("nn: Linear expects %d features, got %d", l.In, x.Dim(1)))
 	}
-	l.prepareInference()
+	packed := l.panels()
 	n := x.Dim(0)
 	out := a.Get(n, l.Out)
 	t := tensor.Scratch[linearTask](a)
-	t.packed = l.packed
+	t.packed = packed
 	t.out, t.x = out.Data(), x.Data()
-	t.outW, t.inW, t.panels = l.Out, l.In, l.packed.Panels()
+	t.outW, t.inW, t.panels = l.Out, l.In, packed.Panels()
 	t.bias, t.relu = l.Bias.Value.Data(), relu
 	tensor.ParallelRange(n*t.panels, 1, t)
 	return out

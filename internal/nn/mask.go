@@ -30,7 +30,7 @@ const (
 )
 
 // MaskStats accumulates how many output-row bands the masked kernel
-// skipped, across every replica sharing the layer. Safe for concurrent
+// skipped, across every caller sharing the layer. Safe for concurrent
 // use.
 type MaskStats struct {
 	masked atomic.Int64
@@ -282,7 +282,7 @@ func maskedBandEdges(out, mu, tmp, wpre, bias []float32, inC, outC, h, w, ohw, o
 // samples; batch 1 runs the energy pass serially and parallelizes over
 // bands. Arena scratch per sample: the cols stripe plus mu/energy/flat.
 func (c *Conv2D) inferMasked(out, x *tensor.Tensor, a *tensor.Arena, relu bool, n, ch, h, w, oh, ow int) {
-	c.ensureKernel(KernelMasked)
+	packed := c.panels()
 	band := c.maskBand
 	if band <= 0 {
 		band = maskDefaultBand
@@ -302,7 +302,7 @@ func (c *Conv2D) inferMasked(out, x *tensor.Tensor, a *tensor.Arena, relu bool, 
 		t.out, t.x, t.cols, t.scratch = out.Data(), x.Data(), cols.Data(), scratch.Data()
 		t.sampleStride, t.colStride, t.outStride, t.scratchStride = ch*h*w, kdim*ohw, c.OutC*ohw, ch+h+2*c.OutC
 		t.c, t.h, t.w, t.oh, t.ow, t.outC = ch, h, w, oh, ow, c.OutC
-		t.geom, t.packed = c.Geom, c.packed
+		t.geom, t.packed = c.Geom, packed
 		t.bias, t.wsum, t.wpre, t.relu = bias, c.wsum, c.wpre, relu
 		t.band, t.thresh = band, thresh
 		t.stats = c.maskStats
@@ -324,7 +324,7 @@ func (c *Conv2D) inferMasked(out, x *tensor.Tensor, a *tensor.Arena, relu bool, 
 	t.out, t.x, t.cols = out.Data(), x.Data(), cols.Data()
 	t.mu, t.energy, t.flat, t.tmp, t.wpre = mu, energy, flat, tmp.Data(), c.wpre
 	t.c, t.h, t.w, t.oh, t.ow, t.outC = ch, h, w, oh, ow, c.OutC
-	t.geom, t.packed = c.Geom, c.packed
+	t.geom, t.packed = c.Geom, packed
 	t.bias, t.relu = bias, relu
 	t.band, t.thresh = band, thresh
 	t.stats = c.maskStats

@@ -123,7 +123,7 @@ func TestInferRangeSplitMatchesInfer(t *testing.T) {
 		NewReLU(),
 		NewLinear(rng, 7, 5),
 	)
-	PrepareInference(net)
+	PrepareInferenceParallel(net)
 	x := tensor.New(3, 2, 16, 16)
 	for i := range x.Data() {
 		x.Data()[i] = float32(rng.NormFloat64())
@@ -134,8 +134,8 @@ func TestInferRangeSplitMatchesInfer(t *testing.T) {
 	// first pool: both are non-fused boundaries.
 	for _, cut := range []int{3, 6} {
 		a := tensor.NewArena()
-		mid := net.InferRange(x, a, 0, cut)
-		got := net.InferRange(mid, a, cut, len(net.Modules()))
+		mid := net.InferRange(x, a, 0, cut, nil)
+		got := net.InferRange(mid, a, cut, len(net.Modules()), nil)
 		if got.Len() != want.Len() {
 			t.Fatalf("cut %d: length %d vs %d", cut, got.Len(), want.Len())
 		}

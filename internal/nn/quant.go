@@ -148,9 +148,10 @@ type QuantReport struct {
 // Linear layers run the packed int8 kernels, using cal for the
 // activation ranges. Hostile layers silently keep their fp32 kernels and
 // are counted in the report. All other layers are shared-cloned, so the
-// returned network is safe to run concurrently with s and with other
-// clones. The quantized layers support Infer, fused inference, scheduled
-// execution and Forward (for the tracing path) — but not Backward.
+// returned network shares s's weights, while a later kernel or mask
+// change to either network leaves the other as it was.
+// The quantized layers support Infer, fused inference, scheduled
+// execution and Forward — but not Backward.
 func QuantizeForInference(s *Sequential, cal *Calibration) (*Sequential, QuantReport, error) {
 	var rep QuantReport
 	PrepareInferenceParallel(s)
@@ -202,16 +203,14 @@ func QuantizeForInference(s *Sequential, cal *Calibration) (*Sequential, QuantRe
 // quantization of the input, int8 im2col (borders padded with the zero
 // point), the packed int8 GEMM with int32 accumulation, and a fused
 // requantize+bias+ReLU epilogue back to float32. Weights are quantized
-// per output channel; immutable state (packed panels, scales) is shared
-// across replicas.
+// per output channel. The layer holds only immutable state (packed
+// panels, scales), so Infer and Forward are reentrant.
 type QuantConv2D struct {
 	base     *Conv2D
 	packed   *tensor.PackedInt8
 	inInv    float32   // 1 / activation scale
 	inZP     int32     // activation zero point
 	outScale []float32 // per-row weightScale · activationScale
-
-	fwd *tensor.Arena // Forward-mode scratch (tracing path)
 }
 
 // newQuantConv2D quantizes c against its observed input range. ok is
@@ -244,7 +243,6 @@ func newQuantConv2D(c *Conv2D, obs *MinMaxObserver) (*QuantConv2D, bool) {
 		inInv:    1 / scale,
 		inZP:     zp,
 		outScale: outScale,
-		fwd:      tensor.NewArena(),
 	}, true
 }
 
@@ -257,13 +255,12 @@ func (q *QuantConv2D) Params() []*Param { return q.base.Params() }
 // OutShape implements Module.
 func (q *QuantConv2D) OutShape(in []int) []int { return q.base.OutShape(in) }
 
-// Forward implements Module by running the int8 inference kernels into a
-// layer-owned arena, so trace/debug paths that walk Forward (e.g.
-// DetectWithHook) see exactly the quantized serving numbers. The output
-// is valid until this layer's next Forward call.
+// Forward implements Module by running the int8 inference kernels into
+// a call-local arena, so paths that walk Forward (model.Detect) see
+// exactly the quantized serving numbers. Like Infer, it writes no layer
+// state.
 func (q *QuantConv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
-	q.fwd.Reset()
-	return q.inferFused(x, q.fwd, false)
+	return q.inferFused(x, tensor.NewArena(), false)
 }
 
 // Backward implements Module. Quantized layers are inference-only.
@@ -271,17 +268,11 @@ func (q *QuantConv2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	panic("nn: QuantConv2D is inference-only and does not support Backward")
 }
 
-// cloneShared implements sharedCloner: packed codes, scales and the base
-// layer are shared; the Forward scratch arena is fresh.
+// cloneShared implements sharedCloner: the layer holds only immutable
+// state (packed codes, scales, the base layer), all of it shared.
 func (q *QuantConv2D) cloneShared() Module {
-	return &QuantConv2D{
-		base:     q.base,
-		packed:   q.packed,
-		inInv:    q.inInv,
-		inZP:     q.inZP,
-		outScale: q.outScale,
-		fwd:      tensor.NewArena(),
-	}
+	cl := *q
+	return &cl
 }
 
 // Infer implements Inferencer.
@@ -400,8 +391,6 @@ type QuantLinear struct {
 	inInv    float32
 	inZP     int32
 	outScale []float32
-
-	fwd *tensor.Arena
 }
 
 func newQuantLinear(l *Linear, obs *MinMaxObserver) (*QuantLinear, bool) {
@@ -430,7 +419,6 @@ func newQuantLinear(l *Linear, obs *MinMaxObserver) (*QuantLinear, bool) {
 		inInv:    1 / scale,
 		inZP:     zp,
 		outScale: outScale,
-		fwd:      tensor.NewArena(),
 	}, true
 }
 
@@ -445,8 +433,7 @@ func (q *QuantLinear) OutShape(in []int) []int { return q.base.OutShape(in) }
 
 // Forward implements Module via the int8 kernels (see QuantConv2D.Forward).
 func (q *QuantLinear) Forward(x *tensor.Tensor) *tensor.Tensor {
-	q.fwd.Reset()
-	return q.inferFused(x, q.fwd, false)
+	return q.inferFused(x, tensor.NewArena(), false)
 }
 
 // Backward implements Module. Quantized layers are inference-only.
@@ -454,16 +441,10 @@ func (q *QuantLinear) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	panic("nn: QuantLinear is inference-only and does not support Backward")
 }
 
-// cloneShared implements sharedCloner.
+// cloneShared implements sharedCloner (see QuantConv2D.cloneShared).
 func (q *QuantLinear) cloneShared() Module {
-	return &QuantLinear{
-		base:     q.base,
-		packed:   q.packed,
-		inInv:    q.inInv,
-		inZP:     q.inZP,
-		outScale: q.outScale,
-		fwd:      tensor.NewArena(),
-	}
+	cl := *q
+	return &cl
 }
 
 // Infer implements Inferencer.

@@ -129,8 +129,8 @@ func TestQuantInferDeterministicAndForwardParity(t *testing.T) {
 		x := randInput(rng, batch, 3, 21, 21)
 		a := tensor.NewArena()
 		first := qnet.Infer(x, a).Clone()
-		// Run-to-run bit-exactness on the same replica and on a shared
-		// clone (replicas share packed codes and scales).
+		// Run-to-run bit-exactness on the same network and on a variant
+		// copy (copies share packed codes and scales).
 		a.Reset()
 		assertBitwiseEqual(t, "rerun", qnet.Infer(x, a), first)
 		clone, err := CloneShared(qnet)
@@ -138,8 +138,8 @@ func TestQuantInferDeterministicAndForwardParity(t *testing.T) {
 			t.Fatalf("CloneShared: %v", err)
 		}
 		assertBitwiseEqual(t, "clone", clone.(*Sequential).Infer(x, tensor.NewArena()), first)
-		// The Forward walk (tracing path) must see the same quantized
-		// numbers as the fused Infer path.
+		// The Forward walk must see the same quantized numbers as the
+		// fused Infer path.
 		assertBitwiseEqual(t, "forward", qnet.Forward(x), first)
 	}
 }

@@ -414,17 +414,13 @@ func (e *ScheduleExecutor) Schedule() *ios.Schedule { return e.sched }
 // the next call. Output is bit-for-bit identical to Sequential.Infer.
 // In steady state the call performs no heap allocation.
 func (e *ScheduleExecutor) Infer(x *tensor.Tensor, a *tensor.Arena) *tensor.Tensor {
-	return e.inferHooked(x, a, nil)
+	return e.InferWithHook(x, a, nil)
 }
 
 // InferWithHook is Infer with per-group timing reported through hook
 // (nil degrades to Infer). The telemetry span pipeline uses this on
 // trace-sampled requests to lay out stage/group concurrency.
 func (e *ScheduleExecutor) InferWithHook(x *tensor.Tensor, a *tensor.Arena, hook StageHook) *tensor.Tensor {
-	return e.inferHooked(x, a, hook)
-}
-
-func (e *ScheduleExecutor) inferHooked(x *tensor.Tensor, a *tensor.Arena, hook StageHook) *tensor.Tensor {
 	e.outs[e.prog.g.In.ID] = x
 	for _, ga := range e.arenas {
 		ga.Reset()
@@ -434,17 +430,7 @@ func (e *ScheduleExecutor) inferHooked(x *tensor.Tensor, a *tensor.Arena, hook S
 		if len(st.groups) == 1 {
 			// Unbatchable stage: a single chain keeps the caller's arena and
 			// full intra-operator parallelism (the pool is free).
-			if hook != nil {
-				start := time.Now()
-				for _, op := range st.groups[0] {
-					e.prog.runOp(op, e.outs, a)
-				}
-				hook(si, 0, 1, st.labels[0], start, time.Since(start))
-				continue
-			}
-			for _, op := range st.groups[0] {
-				e.prog.runOp(op, e.outs, a)
-			}
+			runGroup(e, st.groups[0], a, hook, si, 0, 1, st.labels[0])
 			continue
 		}
 		t := &e.task
@@ -471,16 +457,21 @@ type stageRunTask struct {
 // RunRange implements tensor.Ranger over group indices.
 func (t *stageRunTask) RunRange(lo, hi int) {
 	for gi := lo; gi < hi; gi++ {
-		if t.hook != nil {
-			start := time.Now()
-			for _, op := range t.groups[gi] {
-				t.exec.prog.runOp(op, t.exec.outs, t.exec.arenas[gi])
-			}
-			t.hook(t.stage, gi, len(t.groups), t.labels[gi], start, time.Since(start))
-			continue
-		}
-		for _, op := range t.groups[gi] {
-			t.exec.prog.runOp(op, t.exec.outs, t.exec.arenas[gi])
-		}
+		runGroup(t.exec, t.groups[gi], t.exec.arenas[gi], t.hook, t.stage, gi, len(t.groups), t.labels[gi])
+	}
+}
+
+// runGroup runs one group's ops in order on arena a, timing the group
+// through hook when it is non-nil.
+func runGroup(e *ScheduleExecutor, ops []*compiledOp, a *tensor.Arena, hook StageHook, stage, group, groups int, label string) {
+	var start time.Time
+	if hook != nil {
+		start = time.Now()
+	}
+	for _, op := range ops {
+		e.prog.runOp(op, e.outs, a)
+	}
+	if hook != nil {
+		hook(stage, group, groups, label, start, time.Since(start))
 	}
 }

@@ -97,7 +97,7 @@ func TestScheduleExecutorMatchesInfer(t *testing.T) {
 	for _, stride := range []int{1, 2} {
 		rng := rand.New(rand.NewSource(int64(7 + stride)))
 		net, g := buildSPPPair(t, rng, stride)
-		PrepareInference(net)
+		PrepareInferenceParallel(net)
 		prog, err := CompileGraph(net, g)
 		if err != nil {
 			t.Fatalf("compile (stride %d): %v", stride, err)
@@ -184,7 +184,7 @@ func TestScheduleExecutorPartitionProperty(t *testing.T) {
 	for _, stride := range []int{1, 2} {
 		rng := rand.New(rand.NewSource(int64(40 + stride)))
 		net, g := buildSPPPair(t, rng, stride)
-		PrepareInference(net)
+		PrepareInferenceParallel(net)
 		prog, err := CompileGraph(net, g)
 		if err != nil {
 			t.Fatalf("compile: %v", err)
@@ -218,7 +218,7 @@ func TestScheduleExecutorPartitionProperty(t *testing.T) {
 func TestScheduleExecutorStageHook(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	net, g := buildSPPPair(t, rng, 1)
-	PrepareInference(net)
+	PrepareInferenceParallel(net)
 	prog, err := CompileGraph(net, g)
 	if err != nil {
 		t.Fatal(err)
@@ -260,7 +260,7 @@ func TestScheduleExecutorStageHook(t *testing.T) {
 func TestMeasuredOracleOverProgram(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	net, g := buildSPPPair(t, rng, 1)
-	PrepareInference(net)
+	PrepareInferenceParallel(net)
 	prog, err := CompileGraph(net, g)
 	if err != nil {
 		t.Fatal(err)

@@ -7,8 +7,11 @@
 // same-shape requests at once, up to MaxBatch clips; requests coalesce
 // into larger batches only while every replica is busy. MaxWait is an
 // opt-in hold (0 by default): with it set, an idle replica may wait up
-// to MaxWait for a partial group to fill. Each replica is a shared-weight
-// clone of the network with its own arena, so replicas run concurrently.
+// to MaxWait for a partial group to fill. Every replica runs the one
+// network handed to New — Infer is reentrant — and owns only its
+// scratch arena, so replicas run concurrently without a copy of the
+// model each. Trace-sampled batches run that same served path with a
+// timing hook, so a traced answer equals an untraced one.
 //
 // Requests come in two classes. Interactive requests (the default) are
 // latency-sensitive; bulk requests (contexts marked with WithBulk, such
@@ -52,9 +55,9 @@ var (
 
 // Options configures a Pool. The zero value selects sensible defaults.
 type Options struct {
-	// Replicas is the number of independent network replicas (default
-	// GOMAXPROCS). Each replica is a deep copy of the source network, so
-	// replicas serve batches concurrently without sharing layer caches.
+	// Replicas is the number of batches served concurrently (default
+	// GOMAXPROCS). Every replica runs the pool's one shared network and
+	// owns only its scratch arena.
 	Replicas int
 	// MaxBatch is the largest batch a single forward pass may carry
 	// (default 8), and the most requests the dispatcher holds per class.
@@ -75,9 +78,9 @@ type Options struct {
 	// its registry metrics.
 	Telemetry *telemetry.Telemetry
 	// Plan enables IOS-scheduled inference: each replica compiles the
-	// plan's measured-cost-optimal schedules against its own network
-	// clone and serves batches stage by stage (concurrent operator
-	// groups) instead of layer by layer. Nil serves with the plain
+	// plan's measured-cost-optimal schedules into its own executors over
+	// the shared network and serves batches stage by stage (concurrent
+	// operator groups) instead of layer by layer. Nil serves with the plain
 	// sequential fast path. The plan must have been optimized for the
 	// same config and a compatible MaxBatch (model.OptimizeSchedules).
 	Plan *model.SchedulePlan
@@ -97,13 +100,13 @@ type Options struct {
 // Dynamic configures the pool's dynamic inference path.
 type Dynamic struct {
 	// Spec is the calibrated plan from model.PlanDynamic (required).
-	// The pool applies its mask spec to the network before cloning
-	// replicas, so every replica masks into the plan's shared counters.
+	// The pool applies its mask spec to the network, so every replica
+	// masks into the plan's shared counters.
 	Spec *model.DynamicPlan
-	// Int8Net, with a router-enabled plan, backs the int8 replica path:
-	// easy clips route to int8 replicas, hard clips to fp32 ones. It
-	// must validate against the same config as the fp32 network. Nil
-	// (or a plan without a router) serves every clip on the fp32 path.
+	// Int8Net, with a router-enabled plan, backs the int8 path: easy
+	// clips run on it, hard clips on the fp32 network. It must validate
+	// against the same config as the fp32 network. Nil (or a plan
+	// without a router) serves every clip on the fp32 path.
 	Int8Net *nn.Sequential
 }
 
@@ -218,47 +221,45 @@ type Pool struct {
 	tel   *telemetry.Telemetry
 	reps  []*replica
 
+	// net is the one network every replica runs.
+	net *nn.Sequential
+
 	// dyn/router drive the dynamic inference path (nil when off). The
 	// router runs in Submit — routing must precede batching because the
-	// two paths use different replica networks.
-	dyn    *model.DynamicPlan
-	router *model.Router
+	// two paths run different networks. dynFP32 and dynI8 are the
+	// dynamic executors over net and the int8 network; each serves every
+	// replica (its per-call scratch lives in the replica's arena).
+	dyn            *model.DynamicPlan
+	router         *model.Router
+	dynFP32, dynI8 *model.DynamicExec
 
 	// detect overrides the forward pass; tests substitute a stub to make
 	// timing-sensitive behavior deterministic. When nil (production), the
-	// zero-allocation inference fast path runs instead. detectTimed is the
-	// per-layer-timed variant used when a batch carries a trace-sampled
-	// request.
-	detect      func(net *nn.Sequential, x *tensor.Tensor) []metrics.Detection
-	detectTimed func(net *nn.Sequential, x *tensor.Tensor, hook model.LayerHook) []metrics.Detection
+	// zero-allocation inference fast path runs instead.
+	detect func(net *nn.Sequential, x *tensor.Tensor) []metrics.Detection
 }
 
-// replica is one serving copy of the network plus the scratch it owns:
-// an arena for all inference temporaries (including the stacked batch
-// tensor) and a reusable detection slice. Replicas share the immutable
-// weight tensors and packed panels with the source network — per-replica
-// memory is scratch only, not another copy of the model.
+// dynExec picks the dynamic executor for a routed path.
+func (p *Pool) dynExec(path model.Precision) *model.DynamicExec {
+	if path == model.PrecisionInt8 && p.dynI8 != nil {
+		return p.dynI8
+	}
+	return p.dynFP32
+}
+
+// replica is one serving lane: the scratch one in-flight batch needs
+// over the pool's shared network — an arena for all inference
+// temporaries (including the stacked batch tensor) and a reusable
+// detection slice. The network, its weights and packed panels exist
+// once per pool, so per-replica memory is scratch only.
 type replica struct {
-	net   *nn.Sequential
 	arena *tensor.Arena
 	dets  []metrics.Detection
 	// exec1/execN are the replica's compiled IOS executors (nil without a
 	// plan): exec1 serves single-clip batches, execN everything larger.
+	// They are per replica because an executor owns its group arenas.
 	exec1 *nn.ScheduleExecutor
 	execN *nn.ScheduleExecutor
-	// dyn/dynI8 are the replica's dynamic executors (nil without
-	// Options.Dynamic): dyn wraps net, dynI8 wraps the replica's int8
-	// clone for router-assigned easy clips.
-	dyn   *model.DynamicExec
-	dynI8 *model.DynamicExec
-}
-
-// dynExec picks the replica's dynamic executor for a routed path.
-func (rep *replica) dynExec(path model.Precision) *model.DynamicExec {
-	if path == model.PrecisionInt8 && rep.dynI8 != nil {
-		return rep.dynI8
-	}
-	return rep.dyn
 }
 
 // exec picks the executor for a batch of n clips (nil when unscheduled).
@@ -269,10 +270,14 @@ func (rep *replica) exec(n int) *nn.ScheduleExecutor {
 	return rep.execN
 }
 
-// New builds a pool of opts.Replicas copies of net (which must have been
-// built from cfg — parameter names and shapes are checked while cloning).
-// The provided net becomes replica 0; the pool owns all replicas and the
-// caller must not run inference on net concurrently with pool use.
+// New builds a pool of opts.Replicas replicas over net, which must have
+// been built from cfg (layer kinds, channel counts and geometry are
+// checked first). Every replica runs net itself: New packs its weights
+// and, with Options.Dynamic, applies the plan's mask spec, and each
+// replica owns only its arena. The caller may run Infer on net
+// concurrently with the pool, since Infer is reentrant, but must not run
+// Forward (training or model.Detect), which writes layer caches, nor
+// change net's weights or kernels while the pool serves.
 func New(cfg model.Config, net *nn.Sequential, opts Options) (*Pool, error) {
 	opts = opts.withDefaults()
 	if err := validateConfig(cfg, net); err != nil {
@@ -290,52 +295,20 @@ func New(cfg model.Config, net *nn.Sequential, opts Options) (*Pool, error) {
 				return nil, fmt.Errorf("batcher: int8 path: %w", err)
 			}
 		}
-		// Masking is configured before cloning so every replica shares the
-		// plan's mask spec and skip counters.
 		opts.Dynamic.Spec.Apply(net)
 	}
-	// Pack weights once on the source network; shared-weight clones reuse
-	// the packed panels, so replica memory is scratch-only.
-	nn.PrepareInference(net)
+	nn.PrepareInferenceParallel(net)
 	replicas := make([]*replica, opts.Replicas)
-	replicas[0] = &replica{net: net, arena: tensor.NewArena()}
-	for i := 1; i < opts.Replicas; i++ {
-		clone, err := nn.CloneShared(net)
-		if err != nil {
-			return nil, fmt.Errorf("batcher: replica %d: %w", i, err)
-		}
-		replicas[i] = &replica{net: clone.(*nn.Sequential), arena: tensor.NewArena()}
-	}
-	if opts.Plan != nil {
-		for i, rep := range replicas {
-			exec1, execN, err := opts.Plan.CompileExecutors(rep.net)
+	for i := range replicas {
+		rep := &replica{arena: tensor.NewArena()}
+		if opts.Plan != nil {
+			exec1, execN, err := opts.Plan.CompileExecutors(net)
 			if err != nil {
 				return nil, fmt.Errorf("batcher: replica %d schedule: %w", i, err)
 			}
 			rep.exec1, rep.execN = exec1, execN
 		}
-	}
-	if opts.Dynamic != nil {
-		plan := opts.Dynamic.Spec
-		i8 := opts.Dynamic.Int8Net
-		if i8 != nil {
-			nn.PrepareInference(i8)
-		}
-		for i, rep := range replicas {
-			rep.dyn = model.NewDynamicExec(rep.net, plan)
-			if i8 == nil {
-				continue
-			}
-			i8net := i8
-			if i > 0 {
-				clone, err := nn.CloneShared(i8)
-				if err != nil {
-					return nil, fmt.Errorf("batcher: int8 replica %d: %w", i, err)
-				}
-				i8net = clone.(*nn.Sequential)
-			}
-			rep.dynI8 = model.NewDynamicExec(i8net, plan)
-		}
+		replicas[i] = rep
 	}
 	p := &Pool{
 		opts:           opts,
@@ -346,12 +319,17 @@ func New(cfg model.Config, net *nn.Sequential, opts Options) (*Pool, error) {
 		stats:          newStatsAccum(opts),
 		tel:            opts.Telemetry,
 		reps:           replicas,
-		detectTimed:    model.DetectWithHook,
+		net:            net,
 	}
 	if opts.Dynamic != nil {
 		p.dyn = opts.Dynamic.Spec
-		if p.dyn.RouterEnabled && opts.Dynamic.Int8Net != nil {
-			p.router = p.dyn.Router
+		p.dynFP32 = model.NewDynamicExec(net, p.dyn)
+		if i8 := opts.Dynamic.Int8Net; i8 != nil {
+			nn.PrepareInferenceParallel(i8)
+			p.dynI8 = model.NewDynamicExec(i8, p.dyn)
+			if p.dyn.RouterEnabled {
+				p.router = p.dyn.Router
+			}
 		}
 	}
 	for c := range p.queues {
@@ -826,10 +804,10 @@ func (p *Pool) runBatch(id int, rep *replica, j *job) {
 	}
 
 	// Emit dispatch events and, when the batch carries a trace-sampled
-	// request, run the timed forward-pass variant so the sampled span's
-	// Chrome trace shows the breakdown: per-layer slices on the plain
-	// path, per-stage-group slices on the scheduled (IOS) path.
-	var hook model.LayerHook
+	// request, time the served path through a hook so the sampled span's
+	// Chrome trace shows the breakdown: per-layer slices on the plain and
+	// dynamic paths, per-stage-group slices on the scheduled (IOS) path.
+	var hook nn.LayerHook
 	var stageHook nn.StageHook
 	if p.tel.Enabled() {
 		start := time.Now()
@@ -850,7 +828,8 @@ func (p *Pool) runBatch(id int, rep *replica, j *job) {
 					}
 				}
 			} else {
-				hook = func(layer int, name string, d time.Duration) {
+				hook = func(layer int, m nn.Module, d time.Duration) {
+					name := model.LayerName(m)
 					for _, rid := range sampled {
 						p.tel.Emit(telemetry.Event{Kind: telemetry.EvLayerForward,
 							Req: rid, Layer: layer, Name: name, Dur: d, Replica: id})
@@ -863,7 +842,7 @@ func (p *Pool) runBatch(id int, rep *replica, j *job) {
 	// Record stats and emit EvInferenceDone *before* delivering each
 	// result: once a waiter unblocks it may immediately read /v1/stats or
 	// emit EvResponseWritten, so both must already be ordered ahead.
-	dets, err := p.safeDetect(rep, batch, hook, stageHook, j.reqs[0].path)
+	dets, err := p.safeDetect(rep, batch, j.reqs[0].path, hook, stageHook)
 	if err != nil {
 		now := time.Now()
 		for _, r := range j.reqs {
@@ -889,37 +868,31 @@ func (p *Pool) runBatch(id int, rep *replica, j *job) {
 
 // safeDetect converts a panicking forward pass (bad shapes reaching a
 // layer, etc.) into an error for this batch instead of killing the worker.
-// A non-nil stageHook selects the stage-timed scheduled path and a
-// non-nil hook the per-layer-timed (training-graph) path; a test stub in
-// p.detect overrides both; otherwise the replica's dynamic executor runs
-// when configured (picked by the batch's routed path), then the IOS
-// executor, else the plain zero-alloc inference fast path. Static paths
-// produce bit-identical detections for the same weights and input; the
-// dynamic path is bit-identical whenever its exit head is disabled or
-// does not fire. Trace-sampled batches fall back to the fp32 timed
-// path, so a traced request shows the full per-layer breakdown.
-func (p *Pool) safeDetect(rep *replica, x *tensor.Tensor, hook model.LayerHook, stageHook nn.StageHook, path model.Precision) (dets []metrics.Detection, err error) {
+// A test stub in p.detect overrides inference; otherwise the dynamic
+// executor runs when configured (picked by the batch's routed path),
+// then the replica's IOS executor, else the plain zero-alloc inference
+// fast path. Static paths produce bit-identical detections for the same
+// weights and input; the dynamic path is bit-identical whenever its exit
+// head is disabled or does not fire. The trace hooks (nil on untraced
+// batches) time whichever path runs without changing it, so a traced
+// batch answers exactly as an untraced one.
+func (p *Pool) safeDetect(rep *replica, x *tensor.Tensor, path model.Precision, hook nn.LayerHook, stageHook nn.StageHook) (dets []metrics.Detection, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("batcher: inference failed: %v", r)
 		}
 	}()
 	switch {
-	case stageHook != nil:
-		rep.dets = model.InferDetectScheduledHook(rep.exec(x.Dim(0)), x, rep.arena, rep.dets, stageHook)
-		dets = rep.dets
-	case hook != nil:
-		dets = p.detectTimed(rep.net, x, hook)
 	case p.detect != nil:
-		dets = p.detect(rep.net, x)
-	case rep.dyn != nil:
-		rep.dets = rep.dynExec(path).InferDetect(x, rep.arena, rep.dets)
+		dets = p.detect(p.net, x)
+	case p.dynFP32 != nil:
+		rep.dets = p.dynExec(path).InferDetect(x, rep.arena, rep.dets, hook)
 		dets = rep.dets
 	case rep.exec1 != nil:
-		rep.dets = model.InferDetectScheduled(rep.exec(x.Dim(0)), x, rep.arena, rep.dets)
+		rep.dets = model.InferDetectScheduled(rep.exec(x.Dim(0)), x, rep.arena, rep.dets, stageHook)
 		dets = rep.dets
 	default:
-		rep.dets = model.InferDetect(rep.net, x, rep.arena, rep.dets)
+		rep.dets = model.InferDetectHook(p.net, x, rep.arena, rep.dets, hook)
 		dets = rep.dets
 	}
 	if len(dets) != x.Dim(0) {

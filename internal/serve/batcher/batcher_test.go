@@ -373,27 +373,49 @@ func TestNewRejectsMismatchedConfig(t *testing.T) {
 	}
 }
 
-// Replicas must share weight tensors with the original network — the
-// clone is scratch-only, not a full copy — so N replicas cost N arenas,
-// not N weight sets.
-func TestReplicasShareWeightTensors(t *testing.T) {
-	p := newTestPool(t, Options{Replicas: 3, MaxBatch: 4, MaxWait: time.Millisecond, QueueSize: 16})
+// Replicas hold no module of their own: every replica runs the very
+// network handed to New (Infer is reentrant), so N replicas cost N
+// arenas, not N module trees, and concurrent traffic over R=3 replicas
+// answers bit for bit what model.InferDetect answers.
+func TestReplicasShareOneModule(t *testing.T) {
+	cfg := tinyConfig()
+	net := tinyNet(t, cfg)
+	p, err := New(cfg, net, Options{Replicas: 3, MaxBatch: 4, QueueSize: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(p.Close)
 	if len(p.reps) != 3 {
 		t.Fatalf("pool has %d replicas, want 3", len(p.reps))
 	}
-	base := p.reps[0].net.Params()
-	for r := 1; r < len(p.reps); r++ {
-		params := p.reps[r].net.Params()
-		if len(params) != len(base) {
-			t.Fatalf("replica %d has %d params, replica 0 has %d", r, len(params), len(base))
-		}
-		for i := range base {
-			if params[i].Value != base[i].Value {
-				t.Fatalf("replica %d param %q value tensor was copied, not shared", r, base[i].Name)
+	if p.net != net {
+		t.Fatal("pool serves a copy of the network, not the network handed to New")
+	}
+
+	ref := tinyNet(t, cfg) // same seed ⇒ same weights, never touched by the pool
+	const n = 48
+	want := make([]metrics.Detection, n)
+	for i := range want {
+		want[i] = model.InferDetect(ref, clip(int64(300+i)), tensor.NewArena(), nil)[0]
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got, err := p.Submit(context.Background(), clip(int64(300+i)))
+			if err != nil {
+				t.Error(err)
+				return
 			}
-		}
-		if p.reps[r].net == p.reps[0].net {
-			t.Fatalf("replica %d shares the module tree itself; caches would race", r)
-		}
+			if got != want[i] {
+				t.Errorf("request %d: got %+v, want %+v", i, got, want[i])
+			}
+		}(i)
+	}
+	wg.Wait()
+	st := p.Stats()
+	if st.Served != n {
+		t.Fatalf("served %d, want %d", st.Served, n)
 	}
 }

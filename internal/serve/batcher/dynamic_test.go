@@ -3,12 +3,15 @@ package batcher
 import (
 	"context"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"drainnet/internal/metrics"
 	"drainnet/internal/model"
 	"drainnet/internal/nn"
+	"drainnet/internal/telemetry"
 	"drainnet/internal/tensor"
 	"drainnet/internal/terrain"
 )
@@ -75,7 +78,7 @@ func dynClip(seed int64, positive bool) *tensor.Tensor {
 func TestDynamicPoolServesAndAccountsExits(t *testing.T) {
 	cfg := tinyConfig()
 	net := tinyNet(t, cfg)
-	nn.PrepareInference(net)
+	nn.PrepareInferenceParallel(net)
 	plan, err := model.PlanDynamic(net, dynCalib(rand.New(rand.NewSource(41)), 48),
 		model.DynamicOptions{MaxAPDrop: 0.05})
 	if err != nil {
@@ -131,7 +134,7 @@ func TestDynamicPoolServesAndAccountsExits(t *testing.T) {
 func TestDynamicPoolRoutesPerRequestPrecision(t *testing.T) {
 	cfg := tinyConfig()
 	net := tinyNet(t, cfg)
-	nn.PrepareInference(net)
+	nn.PrepareInferenceParallel(net)
 	calib := dynCalib(rand.New(rand.NewSource(43)), 48)
 	dec, err := model.QuantizeGated(net, calib, model.QuantOptions{MaxAPDrop: 1})
 	if err != nil {
@@ -181,12 +184,86 @@ func TestDynamicPoolRoutesPerRequestPrecision(t *testing.T) {
 	}
 }
 
+// A trace-sampled batch is timed on the path that serves it, so tracing
+// changes no answer: with early exit, masking and int8 routing all on,
+// every clip's detection under SampleEvery 1 equals the one under
+// SampleEvery 0 bit for bit, and the traced spans carry per-layer
+// slices.
+func TestTracedBatchesAnswerAsUntraced(t *testing.T) {
+	cfg := tinyConfig()
+	calib := dynCalib(rand.New(rand.NewSource(43)), 48)
+	serve := func(sampleEvery int) ([]metrics.Detection, *model.DynamicPlan, *telemetry.Telemetry) {
+		net := tinyNet(t, cfg)
+		nn.PrepareInferenceParallel(net)
+		dec, err := model.QuantizeGated(net, calib, model.QuantOptions{MaxAPDrop: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := model.PlanDynamic(net, calib, model.DynamicOptions{
+			MaxAPDrop: 0.05,
+			Int8:      &model.QuantDecision{Enabled: true},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tel := telemetry.New(telemetry.Options{SampleEvery: sampleEvery})
+		t.Cleanup(tel.Close)
+		p, err := New(cfg, net, Options{
+			Replicas: 2, MaxBatch: 4, QueueSize: 64, Telemetry: tel,
+			Dynamic: &Dynamic{Spec: plan, Int8Net: dec.Net},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer p.Close()
+		dets := make([]metrics.Detection, 16)
+		var wg sync.WaitGroup
+		for i := range dets {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				d, err := p.Submit(context.Background(), dynClip(int64(500+i), i%4 == 0))
+				if err != nil {
+					t.Error(err)
+				}
+				dets[i] = d
+			}(i)
+		}
+		wg.Wait()
+		return dets, plan, tel
+	}
+
+	plain, plan, _ := serve(0)
+	if !plan.ExitEnabled || !plan.MaskEnabled || !plan.RouterEnabled {
+		t.Fatalf("plan lost a mechanism (exit=%v mask=%v router=%v); the test needs all three",
+			plan.ExitEnabled, plan.MaskEnabled, plan.RouterEnabled)
+	}
+	traced, _, tel := serve(1)
+	exited := 0
+	for i := range plain {
+		if traced[i] != plain[i] {
+			t.Errorf("clip %d: traced %+v, untraced %+v", i, traced[i], plain[i])
+		}
+		if plain[i].Exited {
+			exited++
+		}
+	}
+	if exited == 0 || exited == len(plain) {
+		t.Fatalf("%d of %d clips exited; the test needs both exits and full-path answers", exited, len(plain))
+	}
+	tel.Close() // drain the span pipeline so the last trace is exported
+	_, trace := tel.LatestTrace()
+	if !strings.Contains(string(trace), `"cat":"kernel/layer"`) || !strings.Contains(string(trace), `"name":"Conv2D"`) {
+		t.Fatalf("traced span has no per-layer Conv2D slice:\n%s", trace)
+	}
+}
+
 // Dynamic does not compose with IOS schedules: New must refuse the
 // combination instead of silently ignoring one of them.
 func TestDynamicRejectsIOSPlan(t *testing.T) {
 	cfg := tinyConfig()
 	net := tinyNet(t, cfg)
-	nn.PrepareInference(net)
+	nn.PrepareInferenceParallel(net)
 	plan, err := model.PlanDynamic(net, dynCalib(rand.New(rand.NewSource(47)), 32),
 		model.DynamicOptions{MaxAPDrop: 0.05})
 	if err != nil {

@@ -36,7 +36,7 @@ const winoPos = 16
 
 // Winograd holds the transformed, panel-packed weights of one 3×3
 // stride-1 convolution. Immutable after PackWinograd; shared by every
-// replica cloned from the owning layer.
+// caller of the owning layer and every variant cloned from it.
 type Winograd struct {
 	outC, inC int
 	u         [winoPos]*Packed // U[t]: outC×inC, packed for MulPanelsInto
